@@ -154,12 +154,14 @@ void WarpExecutionEngine::worker_loop(unsigned wid) {
     if (stopping_) return;
     seen = epoch_;
     Job* job = job_;
+    // `job` lives on the caller's stack and dies once `execute` observes
+    // finished == participants. A worker outside the job is not waited
+    // for, so it may read `participants` only under the lock that
+    // published the job; a participant's fetch_add below is its last
+    // access.
+    const unsigned participants = job != nullptr ? job->participants : 0;
     lock.unlock();
-    if (job != nullptr && wid < job->participants) {
-      // `job` lives on the caller's stack and dies once `execute` observes
-      // finished == participants, so the fetch_add must be this worker's
-      // last access: read `participants` before it, never after.
-      const unsigned participants = job->participants;
+    if (wid < participants) {
       work_on(*job, wid);
       const unsigned before =
           job->finished.fetch_add(1, std::memory_order_acq_rel);

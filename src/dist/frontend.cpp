@@ -136,9 +136,9 @@ namespace {
 
 /// Per-rank view of the distributed graph: the rank's owned nodes in
 /// sorted order plus classification results. Degree/code/visited arrays
-/// are indexed by the local table's dense slot id (the oracle's visited
-/// bitmap scheme), so a walk arriving at any owned node finds its state
-/// with one dense_find.
+/// are indexed by the local table's dense slot id (as in the single-rank
+/// walker), so a walk arriving at any owned node finds its state with one
+/// dense_find.
 struct RankGraph {
   std::vector<bio::PackedKmer> nodes;      ///< owned nodes, sorted
   std::vector<std::uint64_t> node_id;      ///< dense id per node index
@@ -153,7 +153,7 @@ struct RankGraph {
 };
 
 /// One finished unitig walk; pass-1 records are sorted by head afterwards
-/// to recover the oracle's emission order.
+/// to recover the single-rank emission order (by start k-mer).
 struct WalkRecord {
   bio::PackedKmer head;
   std::string seq;
@@ -225,9 +225,10 @@ class WalkEngine {
                                w.path_nodes});
   }
 
-  /// Local absorption loop — the exact step logic of the oracle's
-  /// emit_path, split at rank boundaries: stop at forks/dead ends, stop
-  /// at visited or joined next nodes, otherwise absorb and keep walking.
+  /// Local absorption loop — the exact step logic of the single-rank
+  /// walk in pipeline::generate_contigs, split at rank boundaries: stop at
+  /// forks/dead ends, stop at visited or joined next nodes, otherwise
+  /// absorb and keep walking.
   void advance(std::uint32_t rank, Walk& w) {
     RankGraph& g = graphs_[rank];
     const Table& local = table_.local(rank).table();
@@ -279,8 +280,8 @@ class WalkEngine {
   }
 
   /// Receiving side of a handoff: apply the visited/join checks *before*
-  /// accepting the edge (the oracle checks them before appending the
-  /// base), then continue the absorption loop locally.
+  /// accepting the edge (the single-rank walk checks them before
+  /// appending the base), then continue the absorption loop locally.
   void receive(std::uint32_t rank, const char* p, std::uint32_t n) {
     WalkHeader hdr;
     std::memcpy(&hdr, p, sizeof(hdr));
@@ -308,8 +309,7 @@ class WalkEngine {
 };
 
 /// Extracts a rank's owned nodes in sorted order (per-shard extract +
-/// sort + heap merge — the oracle's order construction restricted to the
-/// rank's shards).
+/// sort + heap merge over the rank's shards).
 void build_node_order(const pipeline::KmerCounts& counts, RankGraph& g,
                       core::WarpExecutionEngine* pool) {
   const Table& table = counts.table();
@@ -376,8 +376,8 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   // Classification epoch A: every rank probes, for each owned node, its
   // four successors then its four predecessors (one batched find round
   // trip for all nodes of all ranks at once). Degrees and the *last*
-  // present edge code reproduce the oracle's out_degree/in_degree
-  // only_code/only_pred convention exactly.
+  // present edge code follow the single-rank classification's
+  // convention exactly.
   for (const std::uint32_t rank : live) {
     for (const bio::PackedKmer& km : graphs[rank].nodes) {
       for (int code = 0; code < bio::kNumBases; ++code) {
@@ -458,8 +458,8 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
 
   // Pass 1: walk from every head. Walks are vertex-disjoint (a head is
   // never absorbed by another walk), so the concurrent superstep schedule
-  // produces exactly the records the oracle's serial head loop produces;
-  // sorting them by head recovers its emission order.
+  // produces exactly the records of a serial head loop; sorting them by
+  // head recovers the single-rank emission order.
   WalkEngine engine(table, graphs);
   std::vector<WalkRecord> pass1;
   engine.set_sink(&pass1);
@@ -479,10 +479,10 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
             });
 
   // Pass 2: whatever pass 1 left unvisited sits inside a perfect cycle.
-  // The oracle breaks each cycle at its smallest member by scanning ALL
-  // nodes in global sorted order; we gather the (few) unvisited
-  // candidates, sort them globally, and walk them one at a time — each
-  // walk completes (drained) before the next candidate's visited check.
+  // The single-rank walker breaks each cycle at its smallest member; as
+  // there, we gather the (few) unvisited candidates, sort them globally,
+  // and walk them one at a time — each walk completes (drained) before the
+  // next candidate's visited check.
   std::vector<std::pair<bio::PackedKmer, std::uint32_t>> candidates;
   for (const std::uint32_t rank : live) {
     const RankGraph& g = graphs[rank];

@@ -24,16 +24,19 @@ struct DbgStats {
 /// Emits one contig per maximal unambiguous path in the k-mer graph.
 /// Paths stop at forks (out-degree > 1), joins (next node in-degree > 1),
 /// dead ends, and when a cycle closes. Contigs shorter than min_len are
-/// dropped. Deterministic: start nodes are processed in lexicographic
-/// k-mer order.
+/// dropped. Paths from heads (nodes whose in-degree is not 1, or whose
+/// unique predecessor forks) come first, in lexicographic order of their
+/// start k-mer; then the perfect cycles, each broken at its smallest k-mer
+/// and emitted in that k-mer's order.
 ///
-/// The node set IS the count map — membership probes hit its sharded flat
-/// table directly (no separate hash set). With a parallel `pool`, the
-/// sorted node order is built by per-shard extraction + sort and a serial
-/// 64-way merge, and the head/degree classification pass runs chunked
-/// across workers; the path traversal itself stays serial (it is
-/// inherently ordered), so contigs, depths and stats are bit-identical to
-/// the serial oracle at every thread count.
+/// The node set IS the count map: one classification pass over its dense
+/// slots records each node's out-degree, edge code, successor slot and
+/// depth, and weighs each successor's in-edges (a forking predecessor
+/// counts twice), so walks never probe the table.
+/// With a parallel `pool`, classification and the head walks run one task
+/// per shard (walks from heads never share a node) and only the few cycle
+/// walks stay serial; contigs, depths and stats are bit-identical at every
+/// thread count.
 bio::ContigSet generate_contigs(const KmerCounts& counts, std::uint32_t k,
                                 std::uint32_t min_len = 0,
                                 DbgStats* stats = nullptr,

@@ -131,8 +131,19 @@ class FlatKmerTable {
     }
   }
 
-  /// Global slot numbering for read-only side tables (e.g. the de Bruijn
-  /// traversal's visited bitmap): the dense id of shard s's slot i is
+  /// Visits one shard's occupied entries in slot order as f(slot, entry);
+  /// the entry's dense id (see dense_offsets) is offsets[shard] + slot,
+  /// so a slot-indexed side table needs no probe for the entry itself.
+  template <class F>
+  void for_each_slot_in_shard(std::uint32_t shard, F&& f) const {
+    const std::vector<Entry>& slots = shards_[shard].slots;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].used()) f(i, slots[i]);
+    }
+  }
+
+  /// Global slot numbering for side tables (e.g. the de Bruijn graph's
+  /// per-slot edge arrays): the dense id of shard s's slot i is
   /// offsets[s] + i, and offsets[kShards] is the total slot count. Valid
   /// until the next mutation.
   std::array<std::uint64_t, kShards + 1> dense_offsets() const noexcept {
@@ -163,8 +174,8 @@ class FlatKmerTable {
     shards_[shard].used = used;
   }
 
-  /// One probe returning both the dense slot id and the value — the
-  /// traversal's membership + visited + depth lookups collapse into this.
+  /// One probe returning both the dense slot id and the value — a
+  /// membership test that also locates the key's slot-indexed state.
   Found dense_find(
       const bio::PackedKmer& km,
       const std::array<std::uint64_t, kShards + 1>& offsets) const noexcept {
@@ -272,9 +283,9 @@ class FlatKmerTable {
 /// Slot layout depends on the interleaving, but the *contents* — the
 /// multiset of (k-mer, count) — equal the serial merge oracle's exactly,
 /// and every downstream consumer (fingerprints, filter, histogram, the de
-/// Bruijn extract+sort traversal, dense ids as opaque identifiers) is slot-
-/// order independent, so golden outputs are bit-identical at every thread
-/// count. The bit-identity suite (ConcurrentKmerTable.*) holds this to
+/// Bruijn walk sorted by start k-mer, dense ids as opaque identifiers) is
+/// slot-order independent, so golden outputs are bit-identical at every
+/// thread count. The bit-identity suite (ConcurrentKmerTable.*) holds this to
 /// account against the merge path at 1/2/4/8 threads.
 class ConcurrentKmerCountTable {
  public:

@@ -173,6 +173,27 @@ TEST(ExecutionEngine, PropagatesBodyExceptions) {
   EXPECT_EQ(count.load(), 8U);
 }
 
+TEST(ExecutionEngine, BackToBackTinyHostBatches) {
+  // Batches smaller than the pool leave some workers out of each job; the
+  // caller's next job reuses the same stack slot at once, so a woken
+  // non-participant that touched the job after the engine lock would join
+  // a half-built job (or one twice) and hang or crash here.
+  const AssemblyOptions opts;
+  const simt::DeviceSpec dev = simt::DeviceSpec::a100();
+  WarpExecutionEngine engine(dev, simt::ProgrammingModel::kCuda, opts, 4);
+  constexpr std::size_t kBatches = 200000;
+  std::uint64_t expected = 0;
+  std::atomic<std::uint64_t> sum{0};
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    const std::size_t n = 1 + b % 3;
+    engine.run_host_batch(n, [&](std::size_t i, unsigned) {
+      sum.fetch_add(i + 1, std::memory_order_relaxed);
+    });
+    expected += n * (n + 1) / 2;
+  }
+  EXPECT_EQ(sum.load(), expected);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-pipeline golden bit-identity: every number below was captured from
 // the pre-overhaul seed build (commit de95621). The fast paths (cache memo,

@@ -74,8 +74,7 @@ std::uint64_t fingerprint_counts(const KmerCounts& counts) {
   return fingerprint_table(counts.table());
 }
 
-// Per-shard extract + sort, the exact access pattern of the de Bruijn
-// stage's node extraction: dense_offsets() sizing plus for_each_in_shard
+// Per-shard extract + sort: dense_offsets() sizing plus for_each_in_shard
 // iteration, sorted within the shard. Layout-independent like the
 // fingerprint, but additionally checks the shard assignment and the
 // offsets bookkeeping of adopted storage.
@@ -259,8 +258,8 @@ TEST(ConcurrentKmerTable, ReserveMakesStormFreeAndStaysExact) {
 }
 
 TEST(ConcurrentKmerTable, ExportedShardsIterateLikeTheOracle) {
-  // dense_offsets + per-shard extract+sort — the de Bruijn stage's exact
-  // consumption pattern — must see the same per-shard contents.
+  // dense_offsets + per-shard extract+sort must see the same per-shard
+  // contents.
   const auto kmers = sampled_kmers(505, 40000, 5000, 21);
   const KmerCounts oracle = oracle_counts(kmers);
   const auto oracle_shards = extract_sorted_shards(oracle.table());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "bio/rng.hpp"
+
 namespace lassm::pipeline {
 namespace {
 
@@ -61,6 +66,35 @@ TEST(KmerAnalysis, HistogramBucketsAndCap) {
   const auto hist = count_histogram(counts, 8);
   ASSERT_EQ(hist.size(), 9U);
   EXPECT_EQ(hist[8], 1U);  // count 21 capped into the last bucket
+}
+
+TEST(FlatKmerTable, ForEachSlotInShardVisitsExactlyTheUsedSlots) {
+  using Table = FlatKmerTable<std::uint32_t>;
+  Table table;
+  bio::Xoshiro256 rng(7);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    std::string s(33, 'A');  // two-word keys
+    for (char& c : s) c = bio::code_to_base(static_cast<int>(rng.below(4)));
+    table.get_or_insert(bio::PackedKmer::pack(s)) = i + 1;
+  }
+  const auto offsets = table.dense_offsets();
+  std::set<std::uint64_t> ids;
+  for (std::uint32_t s = 0; s < Table::kShards; ++s) {
+    std::size_t in_shard = 0;
+    table.for_each_slot_in_shard(
+        s, [&](std::size_t slot, const Table::Entry& e) {
+          ASSERT_TRUE(e.used());
+          const std::uint64_t id = offsets[s] + slot;
+          ASSERT_LT(id, offsets[s + 1]);
+          const Table::Found f = table.dense_find(e.key, offsets);
+          EXPECT_EQ(f.id, id);
+          EXPECT_EQ(f.value, &e.value);
+          ids.insert(id);
+          ++in_shard;
+        });
+    EXPECT_EQ(in_shard, table.shard_entries(s)) << s;
+  }
+  EXPECT_EQ(ids.size(), table.entries());
 }
 
 }  // namespace
