@@ -6,9 +6,11 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "core/assembler.hpp"
 #include "core/reference.hpp"
 #include "model/ascii_plot.hpp"
 #include "model/csv.hpp"
+#include "model/study.hpp"
 #include "workload/dataset.hpp"
 
 int main() {

@@ -6,14 +6,13 @@
 // near-uniform), measured remote insert traffic within 5% of the
 // analytic (R-1)/R prediction, and the modelled network seconds billed
 // by the MessageLayer. Everything here is modelled/seeded and therefore
-// deterministic — the regression gate tolerances are correspondingly
-// tight. Writes results/BENCH_distributed.json for
-// scripts/bench_history.py.
+// deterministic. Writes results/distributed.csv; the exit code is the
+// spread and traffic bars (also asserted by the ctest
+// DistPipeline.WeakScalingKeepsPartitionAndTrafficBars).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -61,10 +60,6 @@ int main() {
                       "remote_msgs", "remote_msgs_model", "model_err_pct",
                       "msgs_per_kmer", "network_ms", "batches"});
 
-  // Headline metrics come from the largest fleet (the hardest case for
-  // both balance and the analytic traffic model).
-  double head_spread = 0.0, head_err = 0.0, head_msgs_per_kmer = 0.0;
-  double head_network_ms = 0.0, head_balance = 0.0;
   bool spread_ok = true, model_ok = true;
 
   for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
@@ -125,39 +120,12 @@ int main() {
         model_ok = false;
       }
     }
-    if (ranks == 8) {
-      head_spread = spread_pct;
-      head_err = err_pct;
-      head_msgs_per_kmer = msgs_per_kmer;
-      head_network_ms = r.network_s * 1e3;
-      head_balance = kmax > 0 ? mean / static_cast<double>(kmax) : 0.0;
-    }
   }
   t.render(std::cout);
   std::cout << "\nexpected: spread and msgs/kmer flat across fleet sizes "
                "(weak scaling), remote traffic tracking the (R-1)/R "
                "analytic model\n";
 
-  const std::string path = model::results_dir() + "/BENCH_distributed.json";
-  std::ofstream js(path);
-  js << "{\n"
-     << "  \"bench\": \"distributed\",\n";
-  bench::write_metrics_envelope(
-      js,
-      // Modelled + seeded = deterministic, so the tolerances are tight;
-      // they exist to absorb intentional workload retunes, not noise.
-      {{"kmer_spread_pct_8r", head_spread, "lower", 0.10},
-       {"msgs_vs_model_pct_8r", head_err, "lower", 0.10},
-       {"msgs_per_kmer_8r", head_msgs_per_kmer, "lower", 0.10},
-       {"network_ms_8r", head_network_ms, "lower", 0.10},
-       {"rank_balance_8r", head_balance, "higher", 0.05}});
-  js << "  \"acceptance\": {\n"
-     << "    \"spread_le_10pct\": " << (spread_ok ? "true" : "false")
-     << ",\n"
-     << "    \"model_err_le_5pct\": " << (model_ok ? "true" : "false")
-     << "\n"
-     << "  }\n}\n";
   bench::write_artifacts(std::cout, csv);
-  std::cout << "JSON: " << path << "\n";
   return (spread_ok && model_ok) ? 0 : 1;
 }

@@ -1,9 +1,8 @@
 // Micro-benchmark of the simulator hot paths behind every modelled number:
 // the memsim line-probe loop (kernel-shaped access stream through a
 // warp-effective TieredMemory) and whole warp tasks through the simulated
-// kernel. Writes results/BENCH_memsim.json with the measured throughput
-// next to the recorded seed baseline, so the speedup of the fast-path
-// overhaul stays visible (and falsifiable) in-repo.
+// kernel, printed to stdout. perfbench/ tracks the same hot path as
+// memsim.mlines_per_s on its paper_grid workload.
 //
 // The access stream is deterministic (LCG-driven), so before/after runs
 // replay the identical probe sequence; the stream mixes the two dominant
@@ -14,13 +13,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 
-#include "bench/common.hpp"
 #include "core/assembler.hpp"
 #include "memsim/tiered.hpp"
-#include "model/csv.hpp"
 #include "simt/device.hpp"
 #include "workload/dataset.hpp"
 
@@ -32,23 +28,10 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Seed-build (commit de95621) measurements on this machine, recorded
-/// before the fast-path overhaul so the JSON always carries before/after.
-/// Baseline table-init used the per-line stream_write loop the kernel ran
-/// before stream_write_range existed.
-constexpr double kBaselineProbeLinesPerSec = 31.95e6;
-constexpr double kBaselineInitLinesPerSec = 12.86e6;
-constexpr double kBaselineTasksPerSec = 4482.0;
-
-struct ProbeResult {
-  double probe_lines_per_sec = 0.0;
-  double init_lines_per_sec = 0.0;
-};
-
 /// Kernel-shaped probe stream: one iteration models one lockstep insertion
 /// round (key read + value write into a pseudo-random slot) plus one lane's
 /// k-mer + quality fetch advancing one base per iteration.
-ProbeResult run_probe_loop() {
+void run_probe_loop() {
   using namespace lassm;
   const simt::DeviceSpec dev = simt::DeviceSpec::a100();
   const std::uint64_t concurrency = 1024;  // typical study batch residency
@@ -64,7 +47,6 @@ ProbeResult run_probe_loop() {
   const std::uint64_t reads_base = as.allocate(arena_bytes);
   const std::uint64_t quals_base = as.allocate(arena_bytes);
 
-  ProbeResult out;
   // Warm + measure in deterministic chunks until the clock has something
   // to say; the stream itself never depends on timing.
   std::uint64_t lcg = 0x2545F4914F6CDD1DULL;
@@ -87,11 +69,11 @@ ProbeResult run_probe_loop() {
     iters += 100000;
   } while (seconds_since(t0) < 0.5);
   const double probe_s = seconds_since(t0);
-  out.probe_lines_per_sec =
+  const double probe_lines_per_sec =
       static_cast<double>(mem.stats().lines_touched) / probe_s;
   std::cout << "probe loop:   " << iters << " iters, "
             << mem.stats().lines_touched << " lines in " << probe_s << " s ("
-            << out.probe_lines_per_sec / 1e6 << " Mlines/s), L1 hit rate "
+            << probe_lines_per_sec / 1e6 << " Mlines/s), L1 hit rate "
             << mem.l1().stats().hit_rate() << "\n";
 
   // Table (re-)initialisation: the construct() streaming-store slab wipe.
@@ -107,15 +89,14 @@ ProbeResult run_probe_loop() {
     }
   } while (seconds_since(t1) < 0.5);
   const double init_s = seconds_since(t1);
-  out.init_lines_per_sec = static_cast<double>(init_lines) / init_s;
+  const double init_lines_per_sec = static_cast<double>(init_lines) / init_s;
   std::cout << "init  loop:   " << init_lines << " lines in " << init_s
-            << " s (" << out.init_lines_per_sec / 1e6 << " Mlines/s)\n";
-  return out;
+            << " s (" << init_lines_per_sec / 1e6 << " Mlines/s)\n";
 }
 
 /// Whole warp tasks through the simulated kernel (serial, so the number is
 /// a per-core figure independent of host thread count).
-double run_task_loop() {
+void run_task_loop() {
   using namespace lassm;
   workload::DatasetParams p = workload::table2_params(21);
   const double ratio =
@@ -143,51 +124,13 @@ double run_task_loop() {
   } while (seconds_since(t0) < 1.0);
   std::cout << "kernel loop:  " << tasks << " warp tasks, best "
             << best_tps << " tasks/s\n";
-  return best_tps;
 }
 
 }  // namespace
 
 int main() {
   std::cout << "bench_memsim_throughput: simulator hot-path throughput\n";
-  const ProbeResult probe = run_probe_loop();
-  const double tasks_per_sec = run_task_loop();
-
-  const std::string path =
-      lassm::model::results_dir() + "/BENCH_memsim.json";
-  std::ofstream js(path);
-  js << "{\n"
-     << "  \"bench\": \"memsim_throughput\",\n";
-  // Wall-clock throughput on a shared machine is noisy; the gate only
-  // trips on a sustained 40% drop.
-  lassm::bench::write_metrics_envelope(
-      js, {{"probe_lines_per_sec", probe.probe_lines_per_sec, "higher", 0.4},
-           {"init_lines_per_sec", probe.init_lines_per_sec, "higher", 0.4},
-           {"warp_tasks_per_sec", tasks_per_sec, "higher", 0.4}});
-  js << "  \"probe_lines_per_sec\": " << probe.probe_lines_per_sec << ",\n"
-     << "  \"init_lines_per_sec\": " << probe.init_lines_per_sec << ",\n"
-     << "  \"warp_tasks_per_sec\": " << tasks_per_sec << ",\n"
-     << "  \"baseline\": {\n"
-     << "    \"commit\": \"de95621 (pre fast-path overhaul)\",\n"
-     << "    \"probe_lines_per_sec\": " << kBaselineProbeLinesPerSec << ",\n"
-     << "    \"init_lines_per_sec\": " << kBaselineInitLinesPerSec << ",\n"
-     << "    \"warp_tasks_per_sec\": " << kBaselineTasksPerSec << "\n"
-     << "  },\n"
-     << "  \"speedup\": {\n"
-     << "    \"probe\": "
-     << (kBaselineProbeLinesPerSec > 0.0
-             ? probe.probe_lines_per_sec / kBaselineProbeLinesPerSec
-             : 0.0)
-     << ",\n"
-     << "    \"init\": "
-     << (kBaselineInitLinesPerSec > 0.0
-             ? probe.init_lines_per_sec / kBaselineInitLinesPerSec
-             : 0.0)
-     << ",\n"
-     << "    \"warp_tasks\": "
-     << (kBaselineTasksPerSec > 0.0 ? tasks_per_sec / kBaselineTasksPerSec
-                                    : 0.0)
-     << "\n  }\n}\n";
-  std::cout << "JSON: " << path << "\n";
+  run_probe_loop();
+  run_task_loop();
   return 0;
 }

@@ -3,19 +3,17 @@
 // shotgun workload (200 kb genome, ~12x coverage, 0.2% error), at one
 // thread and on a 4-worker warp-execution pool — plus the lock-free
 // concurrent count table vs the per-chunk merge oracle (1t and 4t) and
-// the streaming bounded-memory ingest path. Writes
-// results/BENCH_frontend.json with the measured per-stage wall clock next
-// to the recorded seed baseline (std::unordered_map counts, per-window
-// repacking, serial-only stages), so the front-end overhaul's speedup
-// stays visible — and falsifiable — in-repo. The deterministic workload
-// makes before/after runs directly comparable; every parallel stage is
+// the streaming bounded-memory ingest path. Writes the per-stage wall
+// clock at 1 and 4 threads to results/pipeline_frontend.csv. The
+// deterministic workload makes before/after runs directly comparable;
+// perfbench/'s reads_1rank workload tracks the same stages with medians
+// and noise-derived bounds. Every parallel stage is
 // bit-identical to the serial oracle (see tests_pipeline
 // FrontendParallel.*), so this file measures speed only.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -41,16 +39,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// Seed-build baseline (commit 76ade05), measured on this workload with the
-// same best-of-3 protocol, single thread, -O2. Update only with a
-// re-measurement of the seed revision.
-constexpr char kBaselineCommit[] = "76ade05 (pre front-end overhaul)";
-constexpr double kBaselineCountS = 0.676308;
-constexpr double kBaselineFilterS = 0.0158046;
-constexpr double kBaselineDbgS = 2.39523;
-constexpr double kBaselineAlignS = 0.0710847;
-constexpr double kBaselinePipelineS = 3.58804;
 
 /// The fixed workload: 200 kb uniform-random genome, 130 bp reads at ~12x
 /// coverage with a 0.2% substitution error rate (so the filter and the
@@ -121,8 +109,8 @@ StageTimes measure(const bio::ReadSet& reads,
 }
 
 /// Best-of-3 wall clock of one forced counting mode (the concurrent-vs-
-/// merge differential the lock-free table is gated on: same contents, so
-/// the delta is pure counting machinery).
+/// merge differential: same contents, so the delta is pure counting
+/// machinery).
 double measure_count_mode(const bio::ReadSet& reads,
                           core::WarpExecutionEngine* pool,
                           pipeline::CountMode mode) {
@@ -188,9 +176,8 @@ int main() {
   StageTimes pooled = measure(reads, pool.get());
   pooled.pipeline_s = measure_pipeline(reads, kPoolThreads);
 
-  // Concurrent table vs per-chunk + merge oracle, same contents: at one
-  // thread the concurrent path must not lose (the merge pass it deleted is
-  // the headroom), and with the pool it must win outright.
+  // Concurrent table vs per-chunk + merge oracle: same contents, so the
+  // delta is the merge pass the concurrent table deletes.
   const double merge_1t =
       measure_count_mode(reads, nullptr, pipeline::CountMode::kMergeOracle);
   const double conc_1t =
@@ -217,85 +204,17 @@ int main() {
 
   const double mkmers = static_cast<double>(windows) / serial.count_s / 1e6;
   std::cout << "  count(1t): " << serial.count_s << " s (" << mkmers
-            << " Mkmers/s, baseline "
-            << static_cast<double>(windows) / kBaselineCountS / 1e6
-            << ")\n  dbg(1t): " << serial.dbg_s << " s (baseline "
-            << kBaselineDbgS << ")\n";
+            << " Mkmers/s)\n  dbg(1t): " << serial.dbg_s << " s\n";
 
   model::CsvWriter csv = bench::bench_csv(
-      "pipeline_frontend",
-      {"stage", "seed_1t_s", "new_1t_s", "new_4t_s", "speedup_1t"});
-  csv.row("kmer_count", kBaselineCountS, serial.count_s, pooled.count_s,
-          kBaselineCountS / serial.count_s);
-  csv.row("kmer_filter", kBaselineFilterS, serial.filter_s, pooled.filter_s,
-          kBaselineFilterS / serial.filter_s);
-  csv.row("contig_generation", kBaselineDbgS, serial.dbg_s, pooled.dbg_s,
-          kBaselineDbgS / serial.dbg_s);
-  csv.row("align", kBaselineAlignS, serial.align_s, pooled.align_s,
-          kBaselineAlignS / serial.align_s);
-  csv.row("pipeline", kBaselinePipelineS, serial.pipeline_s,
-          pooled.pipeline_s, kBaselinePipelineS / serial.pipeline_s);
-  csv.row("count_merge_oracle", kBaselineCountS, merge_1t, merge_4t,
-          kBaselineCountS / merge_1t);
-  csv.row("count_concurrent", kBaselineCountS, conc_1t, conc_4t,
-          kBaselineCountS / conc_1t);
-
-  const std::string path = model::results_dir() + "/BENCH_frontend.json";
-  std::ofstream js(path);
-  js << "{\n"
-     << "  \"bench\": \"pipeline_frontend\",\n";
-  // Stage wall clocks are noisy best-of-3 numbers; gate on a 40% drop.
-  lassm::bench::write_metrics_envelope(
-      js, {{"count_mkmers_per_s", mkmers, "higher", 0.4},
-           {"speedup_count", kBaselineCountS / serial.count_s, "higher", 0.4},
-           {"speedup_dbg", kBaselineDbgS / serial.dbg_s, "higher", 0.4},
-           {"speedup_pipeline",
-            kBaselinePipelineS / serial.pipeline_s, "higher", 0.4},
-           {"count_conc_over_merge_1t", merge_1t / conc_1t, "higher", 0.4},
-           {"count_conc_over_merge_4t", merge_4t / conc_4t, "higher", 0.4}});
-  js << "  \"workload\": {\"reads\": " << reads.size()
-     << ", \"bases\": " << reads.total_bases()
-     << ", \"k21_windows\": " << windows << "},\n"
-     << "  \"count_s\": " << serial.count_s << ",\n"
-     << "  \"count_mkmers_per_s\": " << mkmers << ",\n"
-     << "  \"filter_s\": " << serial.filter_s << ",\n"
-     << "  \"dbg_s\": " << serial.dbg_s << ",\n"
-     << "  \"align_s\": " << serial.align_s << ",\n"
-     << "  \"pipeline_s\": " << serial.pipeline_s << ",\n"
-     << "  \"count_merge_1t_s\": " << merge_1t << ",\n"
-     << "  \"count_concurrent_1t_s\": " << conc_1t << ",\n"
-     << "  \"count_merge_4t_s\": " << merge_4t << ",\n"
-     << "  \"count_concurrent_4t_s\": " << conc_4t << ",\n"
-     << "  \"count_stream_4t_s\": " << stream_4t << ",\n"
-     << "  \"stream_blocks\": " << stream_stats.blocks << ",\n"
-     << "  \"stream_peak_resident_bases\": "
-     << stream_stats.peak_resident_bases << ",\n"
-     << "  \"count_s_4t\": " << pooled.count_s << ",\n"
-     << "  \"dbg_s_4t\": " << pooled.dbg_s << ",\n"
-     << "  \"align_s_4t\": " << pooled.align_s << ",\n"
-     << "  \"pipeline_s_4t\": " << pooled.pipeline_s << ",\n"
-     << "  \"baseline\": {\n"
-     << "    \"commit\": \"" << kBaselineCommit << "\",\n"
-     << "    \"count_s\": " << kBaselineCountS << ",\n"
-     << "    \"filter_s\": " << kBaselineFilterS << ",\n"
-     << "    \"dbg_s\": " << kBaselineDbgS << ",\n"
-     << "    \"align_s\": " << kBaselineAlignS << ",\n"
-     << "    \"pipeline_s\": " << kBaselinePipelineS << "\n"
-     << "  },\n"
-     << "  \"speedup\": {\n"
-     << "    \"count\": " << kBaselineCountS / serial.count_s << ",\n"
-     << "    \"filter\": " << kBaselineFilterS / serial.filter_s << ",\n"
-     << "    \"dbg\": " << kBaselineDbgS / serial.dbg_s << ",\n"
-     << "    \"align\": " << kBaselineAlignS / serial.align_s << ",\n"
-     << "    \"pipeline\": " << kBaselinePipelineS / serial.pipeline_s
-     << ",\n"
-     << "    \"frontend_parallel\": "
-     << (serial.count_s + serial.dbg_s + serial.align_s) /
-            (pooled.count_s + pooled.dbg_s + pooled.align_s)
-     << "\n"
-     << "  }\n"
-     << "}\n";
-  std::cout << "  wrote " << path << "\n";
+      "pipeline_frontend", {"stage", "wall_1t_s", "wall_4t_s"});
+  csv.row("kmer_count", serial.count_s, pooled.count_s);
+  csv.row("kmer_filter", serial.filter_s, pooled.filter_s);
+  csv.row("contig_generation", serial.dbg_s, pooled.dbg_s);
+  csv.row("align", serial.align_s, pooled.align_s);
+  csv.row("pipeline", serial.pipeline_s, pooled.pipeline_s);
+  csv.row("count_merge_oracle", merge_1t, merge_4t);
+  csv.row("count_concurrent", conc_1t, conc_4t);
   bench::write_artifacts(std::cout, csv);
   return 0;
 }

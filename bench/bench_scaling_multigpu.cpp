@@ -8,6 +8,7 @@
 #include "bench/common.hpp"
 #include "model/ascii_plot.hpp"
 #include "model/csv.hpp"
+#include "model/study.hpp"
 #include "pipeline/multi_gpu.hpp"
 #include "workload/dataset.hpp"
 

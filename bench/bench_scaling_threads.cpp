@@ -4,17 +4,17 @@
 // threads while staying bit-identical to the serial oracle. This bench
 // sweeps the pool size over the default seeded workload, verifies
 // bit-identity at every point, and records speedup + throughput
-// (MTasks/s, one task = one contig-end warp) as the BENCH baseline.
+// (MTasks/s, one task = one contig-end warp) in
+// results/scaling_threads.csv. The exit code is the bit-identity check.
 //
 //   ./bench_scaling_threads [max_threads] [contigs]
 //
 // Environment: LASSM_STUDY_SCALE / LASSM_STUDY_SEED shape the workload as
-// for every other bench. Writes results/BENCH_threads.json.
+// for bench_paper.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "core/exec.hpp"
 #include "model/ascii_plot.hpp"
 #include "model/csv.hpp"
+#include "model/study.hpp"
 #include "workload/dataset.hpp"
 
 namespace {
@@ -109,14 +110,7 @@ int main(int argc, char** argv) {
       {"threads", "wall_ms", "speedup", "efficiency", "mtasks_per_s",
        "identical"});
 
-  struct Point {
-    unsigned threads;
-    double wall_s, speedup, mtasks;
-    bool identical;
-  };
-  std::vector<Point> points;
   bool all_identical = true;
-
   for (unsigned n : sweep) {
     core::AssemblyResult r;
     double wall = n == 1 ? t_serial : run_once(input, n, r);
@@ -132,7 +126,6 @@ int main(int argc, char** argv) {
     all_identical = all_identical && same;
     const double speedup = t_serial / wall;
     const double mtasks = tasks / wall / 1e6;
-    points.push_back({n, wall, speedup, mtasks, same});
     table.add_row({std::to_string(n), model::TextTable::fmt(wall * 1e3, 2),
                    model::TextTable::fmt(speedup, 2) + "x",
                    model::TextTable::pct(speedup / n),
@@ -144,43 +137,6 @@ int main(int argc, char** argv) {
                "cores; bit-identical extensions/counters at every point "
                "(the engine is a host-throughput knob only)\n";
 
-  // The BENCH trajectory record: one JSON blob with the whole sweep.
-  const std::string json_path = model::results_dir() + "/BENCH_threads.json";
-  {
-    double peak_speedup = 0.0;
-    for (const Point& pt : points) {
-      peak_speedup = std::max(peak_speedup, pt.speedup);
-    }
-    std::ofstream js(json_path);
-    js << "{\n"
-       << "  \"bench\": \"scaling_threads\",\n";
-    // Bit-identity is a hard invariant (tolerance 0); the scaling peak is
-    // wall-clock and only gates a halving.
-    bench::write_metrics_envelope(
-        js, {{"all_identical", all_identical ? 1.0 : 0.0, "higher", 0.0},
-             {"peak_speedup", peak_speedup, "higher", 0.5}});
-    js << "  \"device\": \"A100 (simulated)\",\n"
-       << "  \"k\": 21,\n"
-       << "  \"contigs\": " << input.contigs.size() << ",\n"
-       << "  \"warp_tasks\": " << serial.stats.num_warps << ",\n"
-       << "  \"scale\": " << cfg.scale << ",\n"
-       << "  \"seed\": " << cfg.seed << ",\n"
-       << "  \"hardware_threads\": " << hw << ",\n"
-       << "  \"serial_wall_s\": " << t_serial << ",\n"
-       << "  \"all_identical\": " << (all_identical ? "true" : "false")
-       << ",\n"
-       << "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const Point& pt = points[i];
-      js << "    {\"threads\": " << pt.threads << ", \"wall_s\": "
-         << pt.wall_s << ", \"speedup\": " << pt.speedup
-         << ", \"mtasks_per_s\": " << pt.mtasks << ", \"identical\": "
-         << (pt.identical ? "true" : "false") << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-  }
-  std::cout << "JSON: " << json_path << "\n";
   bench::write_artifacts(std::cout, csv);
   return all_identical ? 0 : 1;
 }

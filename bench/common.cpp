@@ -1,312 +1,9 @@
 #include "bench/common.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-
-#include "model/csv.hpp"
-#include "model/profile_report.hpp"
-#include "trace/export.hpp"
-#include "trace/json_util.hpp"
-#include "trace/log.hpp"
+#include <ostream>
+#include <utility>
 
 namespace lassm::bench {
-
-namespace {
-constexpr int kCacheVersion = 5;
-
-/// Any change to the device presets must invalidate cached studies.
-std::uint64_t device_fingerprint() {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](double v) {
-    h ^= static_cast<std::uint64_t>(v * 1e6);
-    h *= 1099511628211ULL;
-  };
-  for (const auto& d : simt::DeviceSpec::study_devices()) {
-    mix(static_cast<double>(d.warp_width));
-    mix(static_cast<double>(d.num_cus));
-    mix(static_cast<double>(d.l1_per_cu_bytes));
-    mix(static_cast<double>(d.l2_bytes));
-    mix(static_cast<double>(d.line_bytes));
-    mix(d.peak_gintops);
-    mix(d.hbm_bw_gbps);
-    mix(d.perf.clock_ghz);
-    mix(static_cast<double>(d.perf.l1_latency_cycles));
-    mix(static_cast<double>(d.perf.l2_latency_cycles));
-    mix(static_cast<double>(d.perf.hbm_latency_cycles));
-    mix(static_cast<double>(d.perf.resident_warps_per_cu));
-    mix(d.perf.cache_dilution);
-  }
-  return h;
-}
-
-const char* vendor_tag(simt::Vendor v) {
-  switch (v) {
-    case simt::Vendor::kNvidia: return "nvidia";
-    case simt::Vendor::kAmd: return "amd";
-    case simt::Vendor::kIntel: return "intel";
-  }
-  return "?";
-}
-
-bool load_cache(const std::string& path, const model::StudyConfig& cfg,
-                model::StudyResults& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  int version = 0;
-  double scale = 0;
-  std::uint64_t seed = 0, fp = 0;
-  std::size_t n_cells = 0;
-  if (!(in >> version >> scale >> seed >> fp >> n_cells)) return false;
-  if (version != kCacheVersion || scale != cfg.scale || seed != cfg.seed ||
-      fp != device_fingerprint()) {
-    return false;
-  }
-  out.config = cfg;
-  const auto& devices = simt::DeviceSpec::study_devices();
-  out.devices.assign(devices.begin(), devices.end());
-  out.cells.clear();
-  for (std::size_t i = 0; i < n_cells; ++i) {
-    model::StudyCell c;
-    std::string vendor;
-    int pm = 0;
-    if (!(in >> vendor >> pm >> c.k >> c.time_s >> c.gintops >> c.intensity >>
-          c.ii_l1 >> c.ii_l2 >> c.hbm_gbytes >> c.arch_eff >> c.alg_eff >>
-          c.theoretical_ii >> c.intops >> c.insertions >> c.walk_steps >>
-          c.mer_retries >> c.extension_bases >> c.wall_s >> c.num_warps)) {
-      return false;
-    }
-    c.pm = static_cast<simt::ProgrammingModel>(pm);
-    for (const auto& d : out.devices) {
-      if (vendor_tag(d.vendor) == vendor) {
-        c.vendor = d.vendor;
-        c.device_name = d.name;
-      }
-    }
-    out.cells.push_back(c);
-  }
-  return out.cells.size() == n_cells && !out.cells.empty();
-}
-
-void save_cache(const std::string& path, const model::StudyResults& study) {
-  std::ofstream out(path);
-  if (!out) return;
-  out << kCacheVersion << ' ' << study.config.scale << ' '
-      << study.config.seed << ' ' << device_fingerprint() << ' '
-      << study.cells.size() << '\n';
-  out.precision(17);
-  for (const auto& c : study.cells) {
-    out << vendor_tag(c.vendor) << ' ' << static_cast<int>(c.pm) << ' '
-        << c.k << ' ' << c.time_s << ' ' << c.gintops << ' ' << c.intensity
-        << ' ' << c.ii_l1 << ' ' << c.ii_l2 << ' ' << c.hbm_gbytes << ' '
-        << c.arch_eff << ' ' << c.alg_eff << ' ' << c.theoretical_ii << ' '
-        << c.intops << ' ' << c.insertions << ' ' << c.walk_steps << ' '
-        << c.mer_retries << ' ' << c.extension_bases << ' ' << c.wall_s
-        << ' ' << c.num_warps << '\n';
-  }
-}
-
-constexpr int kAutotuneCacheVersion = 1;
-
-/// Any change to the zoo presets must invalidate cached tuner reports
-/// (same contract as device_fingerprint, over the full zoo plus the
-/// fields the tuner is sensitive to that the study is not).
-std::uint64_t zoo_fingerprint() {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](double v) {
-    h ^= static_cast<std::uint64_t>(v * 1e6);
-    h *= 1099511628211ULL;
-  };
-  for (const auto& d : simt::DeviceSpec::zoo()) {
-    mix(static_cast<double>(d.warp_width));
-    mix(static_cast<double>(d.max_subgroup()));
-    mix(static_cast<double>(d.num_cus));
-    mix(static_cast<double>(d.l1_per_cu_bytes));
-    mix(static_cast<double>(d.l2_bytes));
-    mix(static_cast<double>(d.line_bytes));
-    mix(d.peak_gintops);
-    mix(d.hbm_bw_gbps);
-    mix(d.perf.clock_ghz);
-    mix(static_cast<double>(d.perf.l1_latency_cycles));
-    mix(static_cast<double>(d.perf.l2_latency_cycles));
-    mix(static_cast<double>(d.perf.hbm_latency_cycles));
-    mix(static_cast<double>(d.perf.resident_warps_per_cu));
-    mix(static_cast<double>(d.perf.atomic_overhead_cycles));
-    mix(d.perf.cache_dilution);
-  }
-  return h;
-}
-
-/// Any change to the searched knob values (or the base configuration they
-/// perturb) must invalidate cached tuner reports.
-std::uint64_t space_fingerprint(const model::AutoTuner::Options& topts) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](double v) {
-    h ^= static_cast<std::uint64_t>(v * 1e6);
-    h *= 1099511628211ULL;
-  };
-  for (auto pm : topts.space.protocols) mix(static_cast<double>(pm));
-  for (auto w : topts.space.subgroup_widths) mix(static_cast<double>(w));
-  for (bool b : topts.space.bin_contigs) mix(b ? 2.0 : 1.0);
-  for (double lf : topts.space.table_load_factors) mix(lf);
-  for (auto b : topts.space.batch_budgets) mix(static_cast<double>(b));
-  for (auto r : topts.space.max_mer_rungs) mix(static_cast<double>(r));
-  mix(topts.prune ? 2.0 : 1.0);
-  mix(topts.require_no_quality_loss ? 2.0 : 1.0);
-  const core::AssemblyOptions& base = topts.base;
-  mix(static_cast<double>(base.subgroup_override));
-  mix(base.bin_contigs ? 2.0 : 1.0);
-  mix(base.table_load_factor);
-  mix(static_cast<double>(base.batch_mem_budget_bytes));
-  mix(static_cast<double>(base.max_mer_rungs));
-  mix(static_cast<double>(base.max_walk_len));
-  return h;
-}
-
-void save_tune_result(std::ostream& out, const model::TuneResult& r) {
-  out << static_cast<int>(r.cand.pm) << ' ' << r.cand.subgroup_override
-      << ' ' << (r.cand.bin_contigs ? 1 : 0) << ' '
-      << r.cand.table_load_factor << ' ' << r.cand.batch_mem_budget_bytes
-      << ' ' << r.cand.max_mer_rungs << ' ' << r.lower_bound_s << ' '
-      << r.time_s << ' ' << r.gintops << ' ' << r.intensity << ' '
-      << r.arch_eff << ' ' << r.alg_eff << ' ' << r.extension_bases;
-}
-
-bool load_tune_result(std::istream& in, model::TuneResult& r) {
-  int pm = 0, bin = 0;
-  if (!(in >> pm >> r.cand.subgroup_override >> bin >>
-        r.cand.table_load_factor >> r.cand.batch_mem_budget_bytes >>
-        r.cand.max_mer_rungs >> r.lower_bound_s >> r.time_s >> r.gintops >>
-        r.intensity >> r.arch_eff >> r.alg_eff >> r.extension_bases)) {
-    return false;
-  }
-  r.cand.pm = static_cast<simt::ProgrammingModel>(pm);
-  r.cand.bin_contigs = bin != 0;
-  return true;
-}
-
-bool load_autotune_cache(const std::string& path, double tune_scale,
-                         std::uint64_t seed,
-                         const model::AutoTuner::Options& topts,
-                         std::vector<model::DeviceTuneReport>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  int version = 0;
-  double scale = 0;
-  std::uint64_t s = 0, zfp = 0, sfp = 0;
-  std::size_t n_devices = 0;
-  if (!(in >> version >> scale >> s >> zfp >> sfp >> n_devices)) {
-    return false;
-  }
-  if (version != kAutotuneCacheVersion || scale != tune_scale || s != seed ||
-      zfp != zoo_fingerprint() || sfp != space_fingerprint(topts)) {
-    return false;
-  }
-  out.clear();
-  for (std::size_t i = 0; i < n_devices; ++i) {
-    std::string slug;
-    model::DeviceTuneReport r;
-    if (!(in >> slug >> r.evaluated >> r.pruned)) return false;
-    const simt::DeviceSpec* dev = simt::DeviceSpec::find(slug);
-    if (dev == nullptr) return false;
-    r.dev = *dev;
-    if (!load_tune_result(in, r.def)) return false;
-    if (!load_tune_result(in, r.winner)) return false;
-    out.push_back(std::move(r));
-  }
-  return out.size() == n_devices && !out.empty();
-}
-
-void save_autotune_cache(const std::string& path, double tune_scale,
-                         std::uint64_t seed,
-                         const model::AutoTuner::Options& topts,
-                         const std::vector<model::DeviceTuneReport>& reports) {
-  std::ofstream out(path);
-  if (!out) return;
-  out.precision(17);
-  out << kAutotuneCacheVersion << ' ' << tune_scale << ' ' << seed << ' '
-      << zoo_fingerprint() << ' ' << space_fingerprint(topts) << ' '
-      << reports.size() << '\n';
-  for (const auto& r : reports) {
-    out << r.dev.slug << ' ' << r.evaluated << ' ' << r.pruned << '\n';
-    save_tune_result(out, r.def);
-    out << '\n';
-    save_tune_result(out, r.winner);
-    out << '\n';
-  }
-}
-
-}  // namespace
-
-std::string autotune_cache_path(double tune_scale, std::uint64_t seed) {
-  std::ostringstream ss;
-  ss << model::results_dir() << "/autotune_cache_scale" << tune_scale
-     << "_seed" << seed << ".txt";
-  return ss.str();
-}
-
-std::vector<model::DeviceTuneReport> cached_autotune(
-    double tune_scale, std::uint64_t seed, const model::AutoTuner& tuner,
-    const core::AssemblyInput& probe) {
-  const char* nocache = std::getenv("LASSM_AUTOTUNE_NOCACHE");
-  const bool bypass = nocache != nullptr && *nocache != 0;
-  const std::string path = autotune_cache_path(tune_scale, seed);
-  std::vector<model::DeviceTuneReport> reports;
-  if (!bypass &&
-      load_autotune_cache(path, tune_scale, seed, tuner.options(), reports)) {
-    std::cerr << "[bench] loaded cached autotune reports from " << path
-              << "\n";
-    return reports;
-  }
-  std::cerr << "[bench] tuning the device zoo (probe scale " << tune_scale
-            << (bypass ? ", cache bypassed" : "") << ")...\n";
-  reports = tuner.tune_zoo(simt::DeviceSpec::zoo(), probe, &std::cerr);
-  if (!bypass) save_autotune_cache(path, tune_scale, seed, tuner.options(), reports);
-  return reports;
-}
-
-std::string study_cache_path(const model::StudyConfig& cfg) {
-  std::ostringstream ss;
-  ss << model::results_dir() << "/study_cache_scale" << cfg.scale << "_seed"
-     << cfg.seed << ".txt";
-  return ss.str();
-}
-
-model::StudyResults cached_study() {
-  // Benches honour LASSM_LOG / LASSM_FLIGHT_DIR like the example CLIs do
-  // (default stays kWarn, so a quiet bench run stays quiet).
-  log::Logger::instance().configure_from_env();
-  model::StudyConfig cfg = model::study_config_from_env();
-  if (!cfg.trace_path.empty()) {
-    // The trace (and the live metrics snapshot behind it) can only come
-    // from a real run; the cache holds neither. Skip both load and save so
-    // a traced bench never poisons, or is poisoned by, the cache.
-    std::cerr << "[bench] LASSM_TRACE set -> bypassing study cache\n";
-    return model::run_study(cfg, &std::cerr);
-  }
-  const std::string path = study_cache_path(cfg);
-  model::StudyResults study;
-  if (load_cache(path, cfg, study)) {
-    std::cerr << "[bench] loaded cached study from " << path << "\n";
-    return study;
-  }
-  std::cerr << "[bench] running study grid (scale " << cfg.scale << ")...\n";
-  study = model::run_study(cfg, &std::cerr);
-  save_cache(path, study);
-  return study;
-}
-
-void print_banner(std::ostream& os, const char* experiment,
-                  const model::StudyResults& study) {
-  os << "================================================================\n";
-  os << " " << experiment << "\n";
-  os << " simulated local assembly study | dataset scale "
-     << study.config.scale << " of Table II | seed " << study.config.seed
-     << "\n";
-  os << " (shape reproduction; absolute numbers are model estimates)\n";
-  os << "================================================================\n";
-}
 
 model::CsvWriter bench_csv(const std::string& stem,
                            std::vector<std::string> header) {
@@ -314,45 +11,8 @@ model::CsvWriter bench_csv(const std::string& stem,
                           std::move(header));
 }
 
-void write_artifacts(std::ostream& os, const model::CsvWriter& csv,
-                     const model::StudyResults* study) {
+void write_artifacts(std::ostream& os, const model::CsvWriter& csv) {
   os << "\nCSV: " << csv.path() << "\n";
-  if (study == nullptr || !study->traced) return;
-  std::string stem = csv.path();
-  const std::string suffix = ".csv";
-  if (stem.size() >= suffix.size() &&
-      stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    stem.resize(stem.size() - suffix.size());
-  }
-  const std::string metrics_path = stem + ".metrics.json";
-  if (trace::write_metrics_json_file(metrics_path, study->metrics)) {
-    os << "metrics: " << metrics_path << "\n";
-  }
-  if (!study->attribution.empty() && !study->devices.empty()) {
-    const model::AttributedProfile profile = model::build_attributed_profile(
-        study->attribution, study->devices.front());
-    const std::string profile_stem = stem + ".profile";
-    if (model::write_profile_report(profile_stem, profile).ok()) {
-      os << "profile: " << profile_stem << ".json (+.csv)\n";
-      model::print_attributed_profile(os, profile);
-    }
-  }
-}
-
-void write_metrics_envelope(std::ostream& os,
-                            const std::vector<BenchMetric>& metrics) {
-  os << "  \"schema_version\": 1,\n  \"metrics\": {";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const BenchMetric& m = metrics[i];
-    os << (i == 0 ? "\n    " : ",\n    ");
-    trace::json_escape(os, m.name);
-    os << ": {\"value\": ";
-    trace::json_number(os, m.value);
-    os << ", \"direction\": \"" << m.direction << "\", \"tolerance\": ";
-    trace::json_number(os, m.tolerance);
-    os << "}";
-  }
-  os << "\n  },\n";
 }
 
 }  // namespace lassm::bench

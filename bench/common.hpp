@@ -5,71 +5,17 @@
 #include <vector>
 
 #include "model/csv.hpp"
-#include "model/study.hpp"
-#include "model/tuner.hpp"
 
-/// Shared harness for the per-table/per-figure bench binaries: every bench
-/// consumes the same study grid (3 devices x 4 datasets). Because each
-/// bench is its own executable, results are cached on disk keyed by
-/// (scale, seed); delete the cache (or change LASSM_STUDY_SCALE /
-/// LASSM_STUDY_SEED) to force a re-run.
+/// Shared harness for the bench binaries: one way to name a bench's CSV
+/// artifact and to report where it went.
 namespace lassm::bench {
-
-/// Loads the cached study or runs it (logging progress to stderr). When
-/// LASSM_TRACE is set the disk cache is bypassed (the trace has to come
-/// from a real run) — modelled numbers are bit-identical either way.
-model::StudyResults cached_study();
-
-/// Path of the cache file for a config.
-std::string study_cache_path(const model::StudyConfig& cfg);
-
-/// Path of the autotune cache file for a probe config.
-std::string autotune_cache_path(double tune_scale, std::uint64_t seed);
-
-/// The study-cache mechanism applied to autotune reports: loads the cached
-/// per-device reports or runs `tuner.tune_zoo` over the full DeviceSpec
-/// zoo on `probe` (logging progress to stderr) and saves. The cache is
-/// keyed by cache version, probe scale and seed, the zoo fingerprint, and
-/// the search-space fingerprint, so any change to devices or knobs forces
-/// a re-tune. LASSM_AUTOTUNE_NOCACHE (non-empty) bypasses both load and
-/// save — check.sh uses it to prove two fresh searches agree byte-for-
-/// byte. Cached reports carry def/winner/counts but not the full
-/// per-candidate `all` list (benches don't consume it).
-std::vector<model::DeviceTuneReport> cached_autotune(
-    double tune_scale, std::uint64_t seed, const model::AutoTuner& tuner,
-    const core::AssemblyInput& probe);
-
-/// Prints the standard bench banner (config provenance).
-void print_banner(std::ostream& os, const char* experiment,
-                  const model::StudyResults& study);
 
 /// Opens the bench's CSV artifact at `results_dir()/<stem>.csv` — the one
 /// way every bench names its data file.
 model::CsvWriter bench_csv(const std::string& stem,
                            std::vector<std::string> header);
 
-/// The shared bench epilogue: prints the CSV path, and — when the study
-/// was traced (LASSM_TRACE) — writes the aggregate metrics snapshot next
-/// to the CSV as `<stem>.metrics.json` and the counter-attribution
-/// profile_report as `<stem>.profile.json` / `<stem>.profile.csv`
-/// (placed on the first study device's roofline), printing each path.
-void write_artifacts(std::ostream& os, const model::CsvWriter& csv,
-                     const model::StudyResults* study = nullptr);
-
-/// One headline metric a bench publishes for the regression gate: its
-/// value, which direction is good, and the relative tolerance the
-/// comparator (scripts/bench_history.py) allows before failing.
-struct BenchMetric {
-  std::string name;
-  double value = 0.0;
-  const char* direction = "higher";  ///< "higher" or "lower" is better
-  double tolerance = 0.05;           ///< relative slack in the bad direction
-};
-
-/// Emits the shared regression-gate envelope into an in-progress JSON
-/// object: `"schema_version": 1, "metrics": {...}` — callers splice it
-/// after their opening '{' (with a trailing comma handled here).
-void write_metrics_envelope(std::ostream& os,
-                            const std::vector<BenchMetric>& metrics);
+/// The shared bench epilogue: prints the CSV path.
+void write_artifacts(std::ostream& os, const model::CsvWriter& csv);
 
 }  // namespace lassm::bench

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -377,6 +379,44 @@ TEST(DistPipeline, ReferencePathMatchesOracleToo) {
     opts.pipeline = popts;
     const DistResult r = run_distributed(reads, device, opts);
     expect_same_pipeline(r.pipeline, oracle, /*compare_kernel_time=*/true);
+  }
+}
+
+// Weak scaling (the workload of bench_distributed): the genome, and with it
+// the k-mer load, grows with the fleet. At every fleet size the two-level
+// hash partition must keep the per-rank k-mer spread within 10% of the
+// mean, and the measured remote-insert traffic must stay within 5% of the
+// analytic (R-1)/R model.
+TEST(DistPipeline, WeakScalingKeepsPartitionAndTrafficBars) {
+  const auto device = simt::DeviceSpec::a100();
+  for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    const bio::ReadSet reads =
+        shotgun(random_seq(31, 1500 * ranks), 8.0, 100, 32 + ranks);
+    DistOptions opts;
+    opts.ranks = ranks;
+    opts.pipeline = base_options();
+    const DistResult r = run_distributed(reads, device, opts);
+    ASSERT_EQ(r.ranks.size(), ranks);
+    if (ranks == 1) continue;
+
+    std::uint64_t kmers = 0, kmin = UINT64_MAX, kmax = 0;
+    for (const DistRankReport& rep : r.ranks) {
+      kmers += rep.kmers;
+      kmin = std::min(kmin, rep.kmers);
+      kmax = std::max(kmax, rep.kmers);
+    }
+    const double mean =
+        static_cast<double>(kmers) / static_cast<double>(ranks);
+    ASSERT_GT(mean, 0.0);
+    EXPECT_LE(100.0 * static_cast<double>(kmax - kmin) / mean, 10.0);
+
+    ASSERT_GT(r.count_remote_msgs_model, 0.0);
+    EXPECT_LE(100.0 *
+                  std::abs(static_cast<double>(r.count_remote_msgs) -
+                           r.count_remote_msgs_model) /
+                  r.count_remote_msgs_model,
+              5.0);
   }
 }
 
