@@ -1,9 +1,9 @@
 // Pipeline front-end throughput: k-mer counting, low-count filter, de
 // Bruijn contig generation and read-to-end alignment on a fixed synthetic
 // shotgun workload (200 kb genome, ~12x coverage, 0.2% error), at one
-// thread and on a 4-worker warp-execution pool — plus the lock-free
-// concurrent count table vs the per-chunk merge oracle (1t and 4t) and
-// the streaming bounded-memory ingest path. Writes the per-stage wall
+// thread and on a 4-worker warp-execution pool (count_kmers uses the
+// serial table at 1t and the lock-free shared table at 4t), plus the
+// streaming bounded-memory ingest path. Writes the per-stage wall
 // clock at 1 and 4 threads to results/pipeline_frontend.csv. The
 // deterministic workload makes before/after runs directly comparable;
 // perfbench/'s reads_1rank workload tracks the same stages with medians
@@ -108,22 +108,6 @@ StageTimes measure(const bio::ReadSet& reads,
   return out;
 }
 
-/// Best-of-3 wall clock of one forced counting mode (the concurrent-vs-
-/// merge differential: same contents, so the delta is pure counting
-/// machinery).
-double measure_count_mode(const bio::ReadSet& reads,
-                          core::WarpExecutionEngine* pool,
-                          pipeline::CountMode mode) {
-  double best = 1e9;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    pipeline::KmerCounts counts =
-        pipeline::count_kmers(reads, 21, false, pool, mode);
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
-}
-
 /// Best-of-3 wall clock of the streaming bounded-memory count over the
 /// same reads (serialized to FASTQ once, re-parsed per rep — parse time is
 /// part of the story: the overlap with counting is what the double-buffer
@@ -176,20 +160,6 @@ int main() {
   StageTimes pooled = measure(reads, pool.get());
   pooled.pipeline_s = measure_pipeline(reads, kPoolThreads);
 
-  // Concurrent table vs per-chunk + merge oracle: same contents, so the
-  // delta is the merge pass the concurrent table deletes.
-  const double merge_1t =
-      measure_count_mode(reads, nullptr, pipeline::CountMode::kMergeOracle);
-  const double conc_1t =
-      measure_count_mode(reads, nullptr, pipeline::CountMode::kConcurrent);
-  const double merge_4t = measure_count_mode(
-      reads, pool.get(), pipeline::CountMode::kMergeOracle);
-  const double conc_4t = measure_count_mode(
-      reads, pool.get(), pipeline::CountMode::kConcurrent);
-  std::cout << "  count merge/concurrent 1t: " << merge_1t << " / "
-            << conc_1t << " s; 4t: " << merge_4t << " / " << conc_4t
-            << " s\n";
-
   const std::string fastq = [&] {
     std::ostringstream os;
     bio::write_fastq(os, reads);
@@ -213,8 +183,6 @@ int main() {
   csv.row("contig_generation", serial.dbg_s, pooled.dbg_s);
   csv.row("align", serial.align_s, pooled.align_s);
   csv.row("pipeline", serial.pipeline_s, pooled.pipeline_s);
-  csv.row("count_merge_oracle", merge_1t, merge_4t);
-  csv.row("count_concurrent", conc_1t, conc_4t);
   bench::write_artifacts(std::cout, csv);
   return 0;
 }

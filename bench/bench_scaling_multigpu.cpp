@@ -35,8 +35,8 @@ int main() {
 
   double base = 0.0;
   for (std::uint32_t ranks : {1U, 2U, 4U, 8U}) {
-    // Registry-routed fleet construction (same results as run_multi_gpu
-    // with an explicit spec; the resilient path with no plan is identical).
+    // Registry-routed fleet construction (same results as an explicit
+    // device list; with no plan, nothing is armed).
     const auto r =
         pipeline::run_multi_gpu_resilient(input, "a100", ranks, {}, nullptr);
     if (ranks == 1) base = r.makespan_s;

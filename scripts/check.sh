@@ -53,13 +53,14 @@ TSAN_OPTIONS="halt_on_error=1" \
 
 # The parallel front-end suite runs k-mer counting/filtering, contig
 # generation, alignment and the whole pipeline across thread counts with
-# per-shard merge phases live on the pool; a race in the sharded tables,
-# the chunked partial maps or run_host_batch trips TSan here, and the
+# per-shard phases live on the pool; a race in the sharded tables, the
+# shared count table or run_host_batch trips TSan here, and the
 # seed-pinned golden fingerprints catch any almost-identical output. The
 # concurrent-table suite is the lock-free table's dedicated TSan workload:
 # interleaved insert/increment storms, concurrent shard rebuilds and the
 # streaming double-buffer all run under the race detector, differenced
-# against the serial merge oracle at 1/2/4/8 threads.
+# against serial counting and the test-only per-chunk merge oracle at
+# 1/2/4/8 threads.
 TSAN_OPTIONS="halt_on_error=1" \
   "$BUILD/tests/tests_pipeline" \
   --gtest_filter='FrontendParallel.*:ConcurrentKmerTable.*'
@@ -84,8 +85,8 @@ TSAN_OPTIONS="halt_on_error=1" "$BUILD/tests/tests_serve"
 # (ShardMap/MessageLayer/DistKmerTable vs their serial oracles) plus the
 # end-to-end rank x thread bit-identity matrix run the sharded front-end
 # and the per-rank device fleet on a live pool — a race in the batched
-# queues, the adopt/recount recovery path or the per-rank merge trips
-# TSan here.
+# queues, the adopt/recount recovery path or a rank's shared count table
+# trips TSan here.
 TSAN_OPTIONS="halt_on_error=1" "$BUILD/tests/tests_dist"
 
 # The cache/tiered differential oracles under TSan: the memo, packed

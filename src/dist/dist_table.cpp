@@ -19,7 +19,7 @@ void DistKmerTable::add(std::uint32_t rank, const bio::PackedKmer& km,
   const std::uint32_t owner = map_->rank_of_hash(km.hash64());
   if (owner == rank) {
     // Through the raw table (not KmerCounts::add) so counting-phase
-    // callers that also merge through table() see one consistent size
+    // callers that also fill table() directly see one consistent size
     // bookkeeping: rebuild_size() once at the end of the phase.
     tables_[rank].table().get_or_insert(km) += n;
   } else {

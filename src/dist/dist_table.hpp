@@ -18,8 +18,11 @@
 ///  - insert: add() applies locally when the caller owns the k-mer and
 ///    enqueues an InsertMsg otherwise; after a flush, every rank
 ///    drain_inserts() — applying remote increments in (ascending src,
-///    send order), a deterministic schedule, so table contents AND shard
-///    slot layout are pure functions of the logical insert sequence.
+///    send order), a deterministic schedule, so table contents are a pure
+///    function of the logical insert sequence. Slot layout is not: a
+///    rank's own windows are counted through a concurrent table whose
+///    layout depends on the thread interleaving, and nothing downstream
+///    depends on it.
 ///  - find: find_enqueue() records the request order and either answers
 ///    locally (owner == requester, no traffic) or enqueues a FindReq;
 ///    after a flush, owners serve_finds() (FindResp per request, in

@@ -32,6 +32,35 @@ std::uint64_t owned_mask_of(const ShardMap& map, std::uint32_t rank) {
   return m;
 }
 
+/// pipeline::insert_read_kmers sink for one chunk of a rank's read block:
+/// windows of the rank's own masked shards go into its shared concurrent
+/// table, windows of other ranks' masked shards onto the chunk's send
+/// list in window order, and unmasked windows are only counted. Shards
+/// outside `local_mask` stay empty in the table, so prefetching their
+/// slots is a no-op.
+struct RankChunkSink {
+  pipeline::ConcurrentKmerCountTable::WriterScope writer;
+  std::uint64_t shard_mask;
+  std::uint64_t local_mask;
+  std::vector<bio::PackedKmer>& remote;
+  std::uint64_t windows = 0;  ///< every window scanned
+  std::uint64_t masked = 0;   ///< windows of masked shards
+
+  void checkpoint() { writer.checkpoint(); }
+  void prefetch(std::uint64_t h) const noexcept { writer.prefetch(h); }
+  void add_hashed(const bio::PackedKmer& km, std::uint64_t h) {
+    ++windows;
+    const std::uint32_t shard = Table::shard_of_hash(h);
+    if ((shard_mask >> shard & 1) == 0) return;
+    ++masked;
+    if (local_mask >> shard & 1) {
+      writer.add_hashed(km, h);
+    } else {
+      remote.push_back(km);
+    }
+  }
+};
+
 }  // namespace
 
 CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
@@ -39,6 +68,10 @@ CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
                             core::WarpExecutionEngine* pool) {
   const ShardMap& map = table.map();
   const std::vector<std::uint32_t> live = map.live_ranks();
+  // Blocks split the reads evenly, so each rank scans about this many
+  // windows; the estimate only sizes the ranks' count tables.
+  const std::uint64_t rank_windows =
+      reads.total_kmers(k) / std::max<std::size_t>(live.size(), 1);
   CountStats stats;
 
   for (std::size_t li = 0; li < live.size(); ++li) {
@@ -47,50 +80,29 @@ CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
     const std::size_t n_block = block.end - block.begin;
     const std::uint64_t owned = owned_mask_of(map, rank);
 
-    // Chunked block scan: locally-owned windows into per-chunk partial
-    // maps, remote windows into per-chunk send lists (window order).
+    // Chunked block scan: the rank's own windows into one shared
+    // concurrent table, reserved and exported for its masked shards only
+    // (the rest of its local table — e.g. shards kept through a recount —
+    // is left untouched); remote windows into per-chunk send lists.
+    const std::uint64_t local_mask = shard_mask & owned;
+    pipeline::ConcurrentKmerCountTable counts;
+    counts.reserve(pipeline::distinct_estimate(rank_windows), local_mask);
     const pipeline::ChunkPlan plan(n_block, pool);
-    std::vector<pipeline::KmerCounts> partials(plan.n_chunks);
     std::vector<std::vector<bio::PackedKmer>> remote(plan.n_chunks);
     std::vector<std::uint64_t> windows_all(plan.n_chunks, 0);
     std::vector<std::uint64_t> windows_masked(plan.n_chunks, 0);
     pipeline::stage_for(pool, plan.n_chunks, [&](std::size_t chunk, unsigned) {
-      pipeline::KmerCounts& part = partials[chunk];
-      std::vector<bio::PackedKmer>& rem = remote[chunk];
-      std::uint64_t n_all = 0;
-      std::uint64_t n_masked = 0;
-      for (std::size_t r = block.begin + plan.begin(chunk);
-           r < block.begin + plan.end(chunk); ++r) {
-        bio::for_each_packed_kmer(
-            reads.seq(r), k, [&](const bio::PackedKmer& km, std::size_t) {
-              ++n_all;
-              const std::uint64_t h = km.hash64();
-              const std::uint32_t shard = Table::shard_of_hash(h);
-              if ((shard_mask >> shard & 1) == 0) return;
-              ++n_masked;
-              if (map.owner_of_shard(shard) == rank) {
-                part.add_hashed(km, h);
-              } else {
-                rem.push_back(km);
-              }
-            });
-      }
-      windows_all[chunk] = n_all;
-      windows_masked[chunk] = n_masked;
+      RankChunkSink sink{
+          pipeline::ConcurrentKmerCountTable::WriterScope(counts), shard_mask,
+          local_mask, remote[chunk]};
+      pipeline::insert_read_kmers(sink, reads, block.begin + plan.begin(chunk),
+                                  block.begin + plan.end(chunk), k,
+                                  /*canonical=*/false);
+      windows_all[chunk] = sink.windows;
+      windows_masked[chunk] = sink.masked;
     });
-
-    // Shard-parallel merge of the local partials in ascending chunk order:
-    // the same discipline as the single-rank merge oracle, so the merged
-    // contents (and the logical insert sequence) are thread-invariant.
-    Table& local = table.local(rank).table();
-    pipeline::stage_for(pool, Table::kShards, [&](std::size_t shard, unsigned) {
-      const auto sid = static_cast<std::uint32_t>(shard);
-      for (const pipeline::KmerCounts& part : partials) {
-        part.table().for_each_in_shard(sid, [&](const Table::Entry& e) {
-          local.get_or_insert_in_shard(sid, e.key) += e.value;
-        });
-      }
-    });
+    // The batch barrier above orders every insert before the move.
+    counts.export_into(table.local(rank).table(), local_mask);
 
     // Remote sends in ascending chunk order = global window order per
     // destination. Uncombined (one InsertMsg per remote window) — the

@@ -15,10 +15,11 @@ class WarpExecutionEngine;
 /// de Bruijn contig generation over a rank-sharded DistKmerTable, with all
 /// remote operations batched through the MessageLayer. Every function here
 /// is driver-thread orchestration; the worker pool only ever runs
-/// rank-local chunk scans and shard merges (the same deterministic
-/// chunk-order discipline as the single-rank front-end), so results are
-/// bit-identical to the 1-rank oracle at every (ranks x threads)
-/// combination — the contract the tests/dist suite pins.
+/// rank-local work (chunk scans into the rank's shared concurrent count
+/// table, per-shard passes), and every message is sent in a fixed
+/// chunk and window order, so results are bit-identical to the 1-rank
+/// oracle at every (ranks x threads) combination — the contract the
+/// tests/dist suite pins.
 namespace lassm::dist {
 
 /// Per-run accounting of the distributed counting stage.
@@ -33,14 +34,18 @@ struct CountStats {
 };
 
 /// Counts k-mers of `reads` into the rank-sharded table: reads are split
-/// into contiguous blocks across the live ranks, each block is scanned in
-/// deterministic chunks (locally-owned k-mers into per-chunk partial maps
-/// merged shard-wise in chunk order; remote k-mers enqueued uncombined to
-/// their owners in chunk order), then one flush epoch delivers and every
-/// rank drains its remote inserts in (src, send-order). `shard_mask`
+/// into contiguous blocks across the live ranks, and each block is
+/// scanned in deterministic chunks through pipeline::insert_read_kmers.
+/// Locally-owned k-mers go into one concurrent count table per rank, whose
+/// storage then moves into the rank's masked owned shards (count_kmers'
+/// shared-table path); remote k-mers are enqueued uncombined to their
+/// owners in chunk and window order. One flush epoch then delivers, and
+/// every rank drains its remote inserts in (src, send-order). `shard_mask`
 /// restricts the scan to k-mers of the set shards (bit s = FlatKmerTable
 /// shard s): ~0 for a full count, the orphaned shards for rank-loss
-/// recounting. Callers must rebuild_size() afterwards (the driver does).
+/// recounting. The masked shards must be empty on entry (the moved
+/// storage replaces them); every other shard is left untouched. Every
+/// live rank's size() is rebuilt before returning.
 CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
                             std::uint32_t k, std::uint64_t shard_mask,
                             core::WarpExecutionEngine* pool);

@@ -10,156 +10,20 @@ namespace lassm::pipeline {
 
 namespace {
 
-/// Distinct-k-mer estimate used to pre-size the count map. The window
-/// count bounds the distinct count from above; real shotgun inputs repeat
-/// every genomic k-mer roughly coverage times, so a quarter of the windows
-/// is a comfortable over-estimate at the >= 4x coverage this repo's
-/// workloads use while staying ~100x below the old one-slot-per-base
-/// reservation. A low estimate only costs amortised shard growth.
-std::uint64_t distinct_estimate(std::uint64_t windows) noexcept {
-  return windows / 4 + 1024;
-}
-
-template <class F>
-void for_each_read_kmer(const bio::ReadSet& reads, std::size_t read,
-                        std::uint32_t k, bool canonical, F&& f) {
-  const std::string_view seq = reads.seq(read);
-  if (canonical) {
-    bio::for_each_canonical_kmer(seq, k, f);
-  } else {
-    bio::for_each_packed_kmer(seq, k, f);
-  }
-}
-
-/// Counting is memory-latency bound: every window lands on a random slot
-/// of a table far larger than cache. Hiding that latency is worth more
-/// than any instruction-level tuning, so each k-mer is hashed once, its
-/// probe slot prefetched, and the insert deferred behind a small ring —
-/// by insert time the line has usually arrived, and up to kPrefetchWindow
-/// misses are in flight at once. Insertion order (window order) is
-/// unchanged, so the map is bit-identical to the undeferred loop.
-constexpr std::size_t kPrefetchWindow = 16;
-
-void count_reads_into(KmerCounts& counts, const bio::ReadSet& reads,
-                      std::size_t begin, std::size_t end, std::uint32_t k,
-                      bool canonical) {
-  struct Pending {
-    bio::PackedKmer km;
-    std::uint64_t hash;
-  };
-  std::array<Pending, kPrefetchWindow> ring;
-  for (std::size_t r = begin; r < end; ++r) {
-    std::size_t head = 0;
-    for_each_read_kmer(reads, r, k, canonical,
-                       [&](const bio::PackedKmer& km, std::size_t) {
-                         const std::uint64_t h = km.hash64();
-                         counts.prefetch(h);
-                         Pending& slot = ring[head % kPrefetchWindow];
-                         if (head >= kPrefetchWindow) {
-                           counts.add_hashed(slot.km, slot.hash);
-                         }
-                         slot = {km, h};
-                         ++head;
-                       });
-    const std::size_t pending = std::min(head, kPrefetchWindow);
-    for (std::size_t i = head - pending; i < head; ++i) {
-      const Pending& p = ring[i % kPrefetchWindow];
-      counts.add_hashed(p.km, p.hash);
-    }
-  }
-}
-
-/// The concurrent twin of count_reads_into: same hash-once + deferred-
-/// insert prefetch ring, inserting into the shared table under a
-/// WriterScope. One checkpoint per read keeps shard rebuilds from waiting
-/// longer than ~a read's worth of inserts for quiescence.
-void count_reads_into_concurrent(ConcurrentKmerCountTable& table,
-                                 const bio::ReadSet& reads,
-                                 std::size_t begin, std::size_t end,
-                                 std::uint32_t k, bool canonical) {
-  struct Pending {
-    bio::PackedKmer km;
-    std::uint64_t hash;
-  };
-  std::array<Pending, kPrefetchWindow> ring;
-  ConcurrentKmerCountTable::WriterScope scope(table);
-  for (std::size_t r = begin; r < end; ++r) {
-    scope.checkpoint();
-    std::size_t head = 0;
-    for_each_read_kmer(reads, r, k, canonical,
-                       [&](const bio::PackedKmer& km, std::size_t) {
-                         const std::uint64_t h = km.hash64();
-                         table.prefetch_hash(h);
-                         Pending& slot = ring[head % kPrefetchWindow];
-                         if (head >= kPrefetchWindow) {
-                           table.insert(slot.km, slot.hash);
-                         }
-                         slot = {km, h};
-                         ++head;
-                       });
-    const std::size_t pending = std::min(head, kPrefetchWindow);
-    for (std::size_t i = head - pending; i < head; ++i) {
-      const Pending& p = ring[i % kPrefetchWindow];
-      table.insert(p.km, p.hash);
-    }
-  }
-}
-
-/// Serial direct counting (the kAuto path without pool workers).
+/// Serial direct counting (no pool workers).
 KmerCounts count_kmers_serial(const bio::ReadSet& reads, std::uint32_t k,
                               bool canonical) {
   KmerCounts counts;
   counts.reserve(distinct_estimate(reads.total_kmers(k)));
-  count_reads_into(counts, reads, 0, reads.size(), k, canonical);
+  insert_read_kmers(counts, reads, 0, reads.size(), k, canonical);
   return counts;
 }
 
-/// The per-chunk + ordered-merge path, kept verbatim as the serial oracle
-/// (CountMode::kMergeOracle). Runs the two-phase structure even without a
-/// parallel pool (one chunk, then the merge pass), so the merge tax stays
-/// measurable at one thread.
-KmerCounts count_kmers_merge(const bio::ReadSet& reads, std::uint32_t k,
-                             bool canonical,
-                             core::WarpExecutionEngine* pool) {
-  const std::uint64_t windows = reads.total_kmers(k);
-  KmerCounts counts;
-  counts.reserve(distinct_estimate(windows));
-
-  // Phase 1: per-chunk partial counts. The chunk decomposition is a pure
-  // function of (read count, worker count) — whichever worker claims a
-  // chunk produces the same partial map, so stealing cannot perturb the
-  // merge below.
-  const ChunkPlan plan(reads.size(), pool);
-  std::vector<KmerCounts> partial(plan.n_chunks);
-  stage_for(pool, plan.n_chunks, [&](std::size_t chunk, unsigned) {
-    KmerCounts& local = partial[chunk];
-    local.reserve(distinct_estimate(windows) / plan.n_chunks);
-    count_reads_into(local, reads, plan.begin(chunk), plan.end(chunk), k,
-                     canonical);
-  });
-
-  // Phase 2: deterministic ordered merge, one task per shard. A k-mer's
-  // shard is a pure function of its hash, so tasks touch disjoint slots of
-  // the destination; each task scans the partials in ascending chunk
-  // order, making the merged layout — not just the contents — independent
-  // of scheduling.
-  stage_for(pool, KmerCounts::Table::kShards, [&](std::size_t shard,
-                                                  unsigned) {
-    const auto sid = static_cast<std::uint32_t>(shard);
-    for (const KmerCounts& local : partial) {
-      local.table().for_each_in_shard(
-          sid, [&](const KmerCounts::Table::Entry& e) {
-            counts.table().get_or_insert_in_shard(sid, e.key) += e.value;
-          });
-    }
-  });
-  counts.rebuild_size();
-  return counts;
-}
-
-/// The concurrent path: every chunk task inserts straight into one shared
-/// lock-free table; its shards then *move* into the result — the merge
-/// pass is gone, not parallelised.
+/// Concurrent counting: every chunk task inserts straight into one shared
+/// lock-free table, whose shards then *move* into the result — there is no
+/// merge pass. One WriterScope checkpoint per read (insert_read_kmers'
+/// per-read hook) keeps shard rebuilds from waiting longer than ~a read's
+/// worth of inserts for quiescence.
 KmerCounts count_kmers_concurrent(const bio::ReadSet& reads, std::uint32_t k,
                                   bool canonical,
                                   core::WarpExecutionEngine* pool) {
@@ -167,8 +31,9 @@ KmerCounts count_kmers_concurrent(const bio::ReadSet& reads, std::uint32_t k,
   table.reserve(distinct_estimate(reads.total_kmers(k)));
   const ChunkPlan plan(reads.size(), pool);
   stage_for(pool, plan.n_chunks, [&](std::size_t chunk, unsigned) {
-    count_reads_into_concurrent(table, reads, plan.begin(chunk),
-                                plan.end(chunk), k, canonical);
+    ConcurrentKmerCountTable::WriterScope writer(table);
+    insert_read_kmers(writer, reads, plan.begin(chunk), plan.end(chunk), k,
+                      canonical);
   });
   // The batch barrier above is the happens-before that makes the moved
   // storage plainly readable downstream.
@@ -181,16 +46,7 @@ KmerCounts count_kmers_concurrent(const bio::ReadSet& reads, std::uint32_t k,
 }  // namespace
 
 KmerCounts count_kmers(const bio::ReadSet& reads, std::uint32_t k,
-                       bool canonical, core::WarpExecutionEngine* pool,
-                       CountMode mode) {
-  switch (mode) {
-    case CountMode::kMergeOracle:
-      return count_kmers_merge(reads, k, canonical, pool);
-    case CountMode::kConcurrent:
-      return count_kmers_concurrent(reads, k, canonical, pool);
-    case CountMode::kAuto:
-      break;
-  }
+                       bool canonical, core::WarpExecutionEngine* pool) {
   if (!pool_parallel(pool) || reads.size() < 2) {
     return count_kmers_serial(reads, k, canonical);
   }
@@ -240,11 +96,15 @@ KmerCounts count_kmers_stream(bio::SequenceStreamReader& reader,
               have_next = reader.next_block(next);
               return;
             }
-            count_reads_into_concurrent(table, cur, plan.begin(i),
-                                        plan.end(i), k, canonical);
+            ConcurrentKmerCountTable::WriterScope writer(table);
+            insert_read_kmers(writer, cur, plan.begin(i), plan.end(i), k,
+                              canonical);
           });
     } else {
-      count_reads_into_concurrent(table, cur, 0, cur.size(), k, canonical);
+      {
+        ConcurrentKmerCountTable::WriterScope writer(table);
+        insert_read_kmers(writer, cur, 0, cur.size(), k, canonical);
+      }
       have_next = reader.next_block(next);
     }
     st.peak_resident_bases =

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -62,15 +65,18 @@ class KmerCountMap {
     table_.prefetch_hash(hash);
   }
 
+  /// insert_read_kmers' per-read hook; a serial map never has to park.
+  void checkpoint() noexcept {}
+
   /// Pre-sizes for an expected number of distinct k-mers.
   void reserve(std::uint64_t expected_distinct) {
     table_.reserve(expected_distinct);
   }
 
   /// Underlying sharded table, exposed for the front-end's per-shard
-  /// parallel phases (count merge, filter, histogram, de Bruijn node
-  /// extraction). Callers that mutate through it must restore the size
-  /// bookkeeping via rebuild_size()/note_erased().
+  /// parallel phases (concurrent-table export, filter, histogram, de
+  /// Bruijn node extraction). Callers that mutate through it must restore
+  /// the size bookkeeping via rebuild_size()/note_erased().
   Table& table() noexcept { return table_; }
   const Table& table() const noexcept { return table_; }
 
@@ -89,38 +95,83 @@ class KmerCountMap {
 
 using KmerCounts = KmerCountMap;
 
-/// Strategy for count_kmers (all three produce identical contents — the
-/// bit-identity suite holds them to the same golden fingerprints).
-enum class CountMode {
-  /// Concurrent shared-table inserts when the pool is parallel; plain
-  /// serial counting otherwise. The default and the fast path.
-  kAuto,
-  /// Per-chunk partial maps merged one shard per task in ascending chunk
-  /// order — the serial-oracle path the concurrent table is differenced
-  /// against. Pays a full extra pass over every distinct k-mer; kept for
-  /// oracle runs and the concurrent-vs-merge bench.
-  kMergeOracle,
-  /// Force the lock-free concurrent table even without pool workers
-  /// (perf-parity gates and differential tests).
-  kConcurrent,
-};
+/// Distinct-k-mer estimate used to pre-size a count table for `windows`
+/// k-mer windows. The window count bounds the distinct count from above;
+/// real shotgun inputs repeat every genomic k-mer roughly coverage times,
+/// so a quarter of the windows is a comfortable over-estimate at the >= 4x
+/// coverage this repo's workloads use while staying ~100x below a
+/// one-slot-per-base reservation. A low estimate only costs amortised
+/// shard growth.
+inline std::uint64_t distinct_estimate(std::uint64_t windows) noexcept {
+  return windows / 4 + 1024;
+}
+
+/// Counting is memory-latency bound: every window lands on a random slot
+/// of a table far larger than cache. Hiding that latency is worth more
+/// than any instruction-level tuning, so each k-mer is hashed once, its
+/// probe slot prefetched, and the insert deferred behind a small ring —
+/// by insert time the line has usually arrived, and up to kPrefetchWindow
+/// misses are in flight at once.
+inline constexpr std::size_t kPrefetchWindow = 16;
+
+/// The one k-mer insert loop behind every counter (count_kmers,
+/// count_kmers_stream, dist::count_kmers_dist). Feeds every window of
+/// reads [begin, end) — canonical or as read — to `sink`, which provides
+///   checkpoint()          called before each read,
+///   prefetch(hash)        called as soon as a window is hashed,
+///   add_hashed(km, hash)  called kPrefetchWindow windows later.
+/// add_hashed sees the windows in read and window order, exactly as an
+/// undeferred loop would. Sinks: KmerCountMap (serial counting),
+/// ConcurrentKmerCountTable::WriterScope (shared-table counting) and the
+/// distributed front-end's owner-routing sink.
+template <class Sink>
+void insert_read_kmers(Sink& sink, const bio::ReadSet& reads,
+                       std::size_t begin, std::size_t end, std::uint32_t k,
+                       bool canonical) {
+  struct Pending {
+    bio::PackedKmer km;
+    std::uint64_t hash;
+  };
+  std::array<Pending, kPrefetchWindow> ring;
+  std::size_t head = 0;
+  const auto push = [&](const bio::PackedKmer& km, std::size_t) {
+    const std::uint64_t h = km.hash64();
+    sink.prefetch(h);
+    Pending& slot = ring[head % kPrefetchWindow];
+    if (head >= kPrefetchWindow) sink.add_hashed(slot.km, slot.hash);
+    slot = {km, h};
+    ++head;
+  };
+  for (std::size_t r = begin; r < end; ++r) {
+    sink.checkpoint();
+    head = 0;
+    if (canonical) {
+      bio::for_each_canonical_kmer(reads.seq(r), k, push);
+    } else {
+      bio::for_each_packed_kmer(reads.seq(r), k, push);
+    }
+    const std::size_t pending = std::min(head, kPrefetchWindow);
+    for (std::size_t i = head - pending; i < head; ++i) {
+      const Pending& p = ring[i % kPrefetchWindow];
+      sink.add_hashed(p.km, p.hash);
+    }
+  }
+}
 
 /// Counts every k-mer of every read. The pipeline is strand-specific (the
 /// synthetic workloads emit reads in contig orientation); set `canonical`
 /// to count strand-insensitively instead.
 ///
-/// With a parallel `pool` (mode kAuto/kConcurrent), every worker inserts
-/// directly into one shared ConcurrentKmerCountTable — CAS-claimed slots,
-/// atomic count increments, sharded growth — whose storage then moves into
-/// the result with no merge pass (windows roll via PackedKmer::successor —
-/// no per-window repack). kMergeOracle keeps the old per-chunk + ordered
-/// per-shard merge path. Contents are bit-identical across modes, pools
-/// and thread counts; only slot layout (never observable downstream) may
-/// differ on the concurrent path.
+/// Without pool workers this is plain serial counting into the result
+/// map. With a parallel `pool`, every worker inserts directly into one
+/// shared ConcurrentKmerCountTable — CAS-claimed slots, atomic count
+/// increments, sharded growth — whose storage then moves into the result
+/// with no merge pass (windows roll via PackedKmer::successor — no
+/// per-window repack). Contents are bit-identical across pools and thread
+/// counts; only slot layout (never observable downstream) may differ.
 KmerCounts count_kmers(const bio::ReadSet& reads, std::uint32_t k,
                        bool canonical = false,
-                       core::WarpExecutionEngine* pool = nullptr,
-                       CountMode mode = CountMode::kAuto);
+                       core::WarpExecutionEngine* pool = nullptr);
 
 /// Observability of one streaming count run (see count_kmers_stream).
 struct StreamCountStats {

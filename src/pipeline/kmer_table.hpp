@@ -26,11 +26,10 @@
 /// Sharding is the parallelism contract: because a k-mer's shard is a pure
 /// function of its hash, per-shard operations on *distinct* shards touch
 /// disjoint memory and may run concurrently with no synchronisation — the
-/// front-end's parallel merge/filter/extract phases run one task per shard
+/// front-end's parallel filter/histogram/DBG phases run one task per shard
 /// on the warp-execution pool. Within a shard, slot order is a
-/// deterministic function of the shard's insertion sequence, so a
-/// deterministic insertion schedule (and the front-end uses one: chunk
-/// results merged in ascending chunk order) yields a deterministic layout.
+/// deterministic function of the shard's insertion sequence; nothing
+/// downstream depends on it (see ConcurrentKmerCountTable below).
 namespace lassm::pipeline {
 
 template <class Value>
@@ -281,12 +280,13 @@ class FlatKmerTable {
 ///
 /// ## Serial-oracle equivalence
 /// Slot layout depends on the interleaving, but the *contents* — the
-/// multiset of (k-mer, count) — equal the serial merge oracle's exactly,
-/// and every downstream consumer (fingerprints, filter, histogram, the de
-/// Bruijn walk sorted by start k-mer, dense ids as opaque identifiers) is
+/// multiset of (k-mer, count) — equal serial counting's exactly, and every
+/// downstream consumer (fingerprints, filter, histogram, the de Bruijn
+/// walk sorted by start k-mer, dense ids as opaque identifiers) is
 /// slot-order independent, so golden outputs are bit-identical at every
-/// thread count. The bit-identity suite (ConcurrentKmerTable.*) holds this to
-/// account against the merge path at 1/2/4/8 threads.
+/// thread count. The bit-identity suite (ConcurrentKmerTable.*) holds this
+/// to account at 1/2/4/8 threads against a per-chunk + ordered-merge
+/// oracle that lives only in the tests.
 class ConcurrentKmerCountTable {
  public:
   using Table = FlatKmerTable<std::uint32_t>;
@@ -321,6 +321,13 @@ class ConcurrentKmerCountTable {
         t_->writer_exit();
         t_->writer_enter();
       }
+    }
+
+    /// The registered table as a pipeline::insert_read_kmers sink (the
+    /// same prefetch/add_hashed pair KmerCountMap offers).
+    void prefetch(std::uint64_t h) const noexcept { t_->prefetch_hash(h); }
+    void add_hashed(const bio::PackedKmer& km, std::uint64_t h) {
+      t_->insert(km, h);
     }
 
    private:
@@ -397,12 +404,16 @@ class ConcurrentKmerCountTable {
     }
   }
 
-  /// Pre-sizes every shard for `expected_entries` total distinct k-mers.
-  /// Quiescent only (no live WriterScope): streaming callers reserve
-  /// between blocks, batch callers before the batch.
-  void reserve(std::uint64_t expected_entries) {
+  /// Pre-sizes the shards in `shard_mask` (bit s = shard s) for
+  /// `expected_entries` total distinct k-mers spread over all kShards
+  /// shards. Quiescent only (no live WriterScope): streaming callers
+  /// reserve between blocks, batch callers before the batch.
+  void reserve(std::uint64_t expected_entries,
+               std::uint64_t shard_mask = ~std::uint64_t{0}) {
     const std::uint64_t per_shard = expected_entries / kShards + 1;
-    for (Shard& s : shards_) {
+    for (std::uint32_t sid = 0; sid < kShards; ++sid) {
+      if ((shard_mask >> sid & 1) == 0) continue;
+      Shard& s = shards_[sid];
       std::size_t want = min_slots_;
       while (want < per_shard * 2) want <<= 1;
       if (want > s.slots.size()) rebuild_shard(s, want);
@@ -424,13 +435,17 @@ class ConcurrentKmerCountTable {
     return rebuilds_.load(std::memory_order_relaxed);
   }
 
-  /// Moves every shard's storage into `out` (adopt_shard) and resets this
-  /// table to empty. Quiescent only — the caller's batch barrier (e.g.
-  /// run_host_batch's return) is the happens-before that makes the plain
-  /// reads downstream of the move race-free. The tag arrays are dropped;
-  /// the entry vectors transfer without visiting a single entry.
-  void export_into(Table& out) {
+  /// Moves the storage of every shard in `shard_mask` into the same shard
+  /// of `out` (adopt_shard) and resets those shards to empty; `out`'s other
+  /// shards are left untouched. Quiescent only — the caller's batch
+  /// barrier (e.g. run_host_batch's return) is the happens-before that
+  /// makes the plain reads downstream of the move race-free. The tag
+  /// arrays are dropped; the entry vectors transfer without visiting a
+  /// single entry.
+  void export_into(Table& out,
+                   std::uint64_t shard_mask = ~std::uint64_t{0}) {
     for (std::uint32_t sid = 0; sid < kShards; ++sid) {
+      if ((shard_mask >> sid & 1) == 0) continue;
       Shard& s = shards_[sid];
       out.adopt_shard(sid, std::move(s.slots),
                       s.used.load(std::memory_order_relaxed));

@@ -71,43 +71,6 @@ std::vector<core::AssemblyInput> partition_input(
   return parts;
 }
 
-MultiGpuResult run_multi_gpu(const core::AssemblyInput& in,
-                             const simt::DeviceSpec& device,
-                             std::uint32_t num_ranks,
-                             const core::AssemblyOptions& opts) {
-  std::vector<std::uint32_t> rank_of;
-  const auto parts = partition_input(in, num_ranks, &rank_of);
-
-  MultiGpuResult result;
-  result.extensions.resize(in.contigs.size());
-
-  std::vector<std::size_t> next_local(parts.size(), 0);
-  core::LocalAssembler assembler(device, opts);
-
-  std::vector<std::vector<bio::ContigExtension>> per_rank_ext(parts.size());
-  for (std::uint32_t r = 0; r < parts.size(); ++r) {
-    const core::AssemblyResult rr = assembler.run(parts[r]);
-    per_rank_ext[r] = rr.extensions;
-    RankReport rep;
-    rep.rank = r;
-    rep.contigs = parts[r].contigs.size();
-    rep.reads = parts[r].reads.size();
-    rep.time_s = rr.total_time_s;
-    result.makespan_s = std::max(result.makespan_s, rr.total_time_s);
-    result.total_gpu_s += rr.total_time_s;
-    result.ranks.push_back(rep);
-  }
-
-  // Scatter extensions back to input order.
-  for (std::size_t id = 0; id < in.contigs.size(); ++id) {
-    const std::uint32_t r = rank_of[id];
-    bio::ContigExtension ext = per_rank_ext[r][next_local[r]++];
-    ext.contig_id = in.contigs[id].id;
-    result.extensions[id] = std::move(ext);
-  }
-  return result;
-}
-
 core::AssemblyInput subset_input(const core::AssemblyInput& in,
                                  const std::vector<std::uint32_t>& ids) {
   core::AssemblyInput sub;

@@ -45,7 +45,7 @@ struct MultiGpuResult {
 
 /// Splits the input into per-rank inputs (contigs + only their mapped
 /// reads, reindexed). Greedy LPT on the per-contig read count. Exposed for
-/// testing; run_multi_gpu uses it internally. rank_of (optional, size =
+/// testing; run_multi_gpu_resilient uses it internally. rank_of (optional, size =
 /// contigs) receives each contig's rank.
 std::vector<core::AssemblyInput> partition_input(
     const core::AssemblyInput& in, std::uint32_t num_ranks,
@@ -58,21 +58,12 @@ std::vector<core::AssemblyInput> partition_input(
 core::AssemblyInput subset_input(const core::AssemblyInput& in,
                                  const std::vector<std::uint32_t>& ids);
 
-/// Runs local assembly on `num_ranks` copies of the device model and
-/// merges the extensions back into input order. Results are identical to
-/// a single-device run (verified in tests): partitioning cannot change
-/// per-contig outcomes because contigs are independent.
-MultiGpuResult run_multi_gpu(const core::AssemblyInput& in,
-                             const simt::DeviceSpec& device,
-                             std::uint32_t num_ranks,
-                             const core::AssemblyOptions& opts = {});
-
 /// Rank identity of device-loss recovery reruns: reruns are pinned to this
 /// sentinel so a FaultPlan's scheduled losses (which name real ranks) can
 /// never re-kill the recovery pass — recovery terminates by construction.
 inline constexpr std::uint32_t kRecoveryRank = 0xFFFFFFFFu;
 
-/// Device-loss-tolerant multi-GPU run: one rank per entry of `devices`
+/// Multi-GPU run of local assembly: one rank per entry of `devices`
 /// (heterogeneous specs allowed), each with `plan` armed and its
 /// fault_rank set, so the plan's device-loss events fire on the matching
 /// rank mid-run. A lost rank keeps the extensions of its completed
@@ -88,8 +79,10 @@ inline constexpr std::uint32_t kRecoveryRank = 0xFFFFFFFFu;
 /// the added time lands in that rank's RankReport and the makespan.
 /// Throws StatusError(kInvalidArgument) on an empty device list and
 /// StatusError(kDeviceLost) when every rank is lost (nothing to recover
-/// onto). `plan` may be null (equivalent to run_multi_gpu with hardening
-/// armed off) or empty (armed, nothing fires — bit-identical results).
+/// onto). `plan` may be null (hardening armed off: results are identical
+/// to a single-device run, because contigs are independent and
+/// partitioning cannot change per-contig outcomes) or empty (armed,
+/// nothing fires — bit-identical results).
 ///
 /// `rank_ids` (optional, size = devices) gives each entry its *physical*
 /// rank identity: fault_rank, RankReport.rank and RebalanceEvent members

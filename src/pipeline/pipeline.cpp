@@ -306,8 +306,7 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     trace::AttributionProfile::Scope kmer_scope(profile, "kmer_analysis");
     StageClock::time_point wall_t0 = StageClock::now();
     KmerCounts counts = count_kmers(reads, opts.contig_k,
-                                    /*canonical=*/false, pool.get(),
-                                    opts.count_mode);
+                                    /*canonical=*/false, pool.get());
     result.frontend.count_s = stage_seconds(wall_t0);
     result.kmers_total = counts.size();
     wall_t0 = StageClock::now();

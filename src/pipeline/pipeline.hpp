@@ -20,11 +20,6 @@ struct PipelineOptions {
   std::uint32_t contig_k = 21;        ///< k of the global de Bruijn graph
   std::uint32_t min_kmer_count = 2;   ///< k-mer analysis error filter
   std::uint32_t min_contig_len = 100;
-  /// Stage-1 counting strategy. kAuto inserts into the lock-free shared
-  /// table whenever the run has pool workers; kMergeOracle forces the
-  /// per-chunk + merge serial-oracle path (differential/bisection runs).
-  /// All modes are bit-identical in every pipeline output.
-  CountMode count_mode = CountMode::kAuto;
   AlignerOptions aligner;
   /// Local assembly tunables; assembly.n_threads also sets the host
   /// parallelism of both the simulated kernel and the CPU reference.

@@ -20,7 +20,11 @@
 namespace lassm::model {
 namespace {
 
-core::AssemblyInput probe(std::uint32_t k = 33, std::uint32_t contigs = 50,
+/// A Table II-shaped probe. A dozen contigs are enough: every contract
+/// below is about the search, and each candidate's simulation carries a
+/// per-device fixed cost (the modelled cache hierarchy) that dominates it
+/// on small inputs, so the suites' time is set by the candidate count.
+core::AssemblyInput probe(std::uint32_t k = 33, std::uint32_t contigs = 12,
                           std::uint64_t seed = 20240731) {
   workload::DatasetParams p = workload::table2_params(k);
   const double ratio =
@@ -30,13 +34,27 @@ core::AssemblyInput probe(std::uint32_t k = 33, std::uint32_t contigs = 50,
   return workload::generate_dataset(p, seed);
 }
 
-/// A reduced space (one knob value dropped per axis) so the determinism
-/// suite does not pay the full cross product on every device.
+/// A reduced space (every protocol, knob values dropped on the other
+/// axes) so the zoo-wide suites do not pay the full cross product on
+/// every device.
 AutoTuner::Options small_options() {
   AutoTuner::Options o;
-  o.space.table_load_factors = {0.5, 0.9};
+  o.space.subgroup_widths = {0, 8};
+  o.space.table_load_factors = {0.5};
   o.space.batch_budgets = {1ULL << 30};
   o.space.max_mer_rungs = {4, 2};
+  return o;
+}
+
+/// The default space without its middle knob values: every axis keeps its
+/// extremes, including the 1 MiB budget that exercises the launch-overhead
+/// term of the pruning bound. The base configuration is always enumerated
+/// first, so the dropped defaults are still evaluated once.
+AutoTuner::Options edge_options() {
+  AutoTuner::Options o;
+  o.space.subgroup_widths = {0, 8, 32};
+  o.space.table_load_factors = {0.5, 0.9};
+  o.space.max_mer_rungs = {2, 6};
   return o;
 }
 
@@ -74,29 +92,30 @@ TEST(Tuner, EnumerateStartsWithBaseConfigAndHasNoDuplicates) {
 }
 
 TEST(Tuner, DeterministicAcrossRunsAndThreadCounts) {
-  const core::AssemblyInput in = probe();
+  const core::AssemblyInput in = probe(33, 6);
   AutoTuner::Options o1 = small_options();
+  o1.space.bin_contigs = {true};
   o1.base.n_threads = 1;
-  AutoTuner::Options o4 = small_options();
+  AutoTuner::Options o4 = o1;
   o4.base.n_threads = 4;
 
   const auto zoo = simt::DeviceSpec::zoo();
-  const auto r1 = AutoTuner(o1).tune_zoo(zoo, in);
-  const auto r2 = AutoTuner(o1).tune_zoo(zoo, in);
   const auto r4 = AutoTuner(o4).tune_zoo(zoo, in);
-  ASSERT_EQ(r1.size(), zoo.size());
-  ASSERT_EQ(r2.size(), r1.size());
-  ASSERT_EQ(r4.size(), r1.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
+  const auto r4b = AutoTuner(o4).tune_zoo(zoo, in);
+  const auto r1 = AutoTuner(o1).tune_zoo(zoo, in);
+  ASSERT_EQ(r4.size(), zoo.size());
+  ASSERT_EQ(r4b.size(), r4.size());
+  ASSERT_EQ(r1.size(), r4.size());
+  for (std::size_t i = 0; i < r4.size(); ++i) {
     // Bit-identical winner table across runs...
-    EXPECT_TRUE(same_result(r1[i].winner, r2[i].winner)) << zoo[i].name;
-    EXPECT_TRUE(same_result(r1[i].def, r2[i].def)) << zoo[i].name;
-    EXPECT_EQ(r1[i].evaluated, r2[i].evaluated);
-    EXPECT_EQ(r1[i].pruned, r2[i].pruned);
-    ASSERT_EQ(r1[i].all.size(), r2[i].all.size());
-    for (std::size_t c = 0; c < r1[i].all.size(); ++c) {
-      EXPECT_TRUE(same_result(r1[i].all[c], r2[i].all[c]))
-          << zoo[i].name << ": " << r1[i].all[c].cand.describe();
+    EXPECT_TRUE(same_result(r4[i].winner, r4b[i].winner)) << zoo[i].name;
+    EXPECT_TRUE(same_result(r4[i].def, r4b[i].def)) << zoo[i].name;
+    EXPECT_EQ(r4[i].evaluated, r4b[i].evaluated);
+    EXPECT_EQ(r4[i].pruned, r4b[i].pruned);
+    ASSERT_EQ(r4[i].all.size(), r4b[i].all.size());
+    for (std::size_t c = 0; c < r4[i].all.size(); ++c) {
+      EXPECT_TRUE(same_result(r4[i].all[c], r4b[i].all[c]))
+          << zoo[i].name << ": " << r4[i].all[c].cand.describe();
     }
     // ...and across host thread counts (modelled numbers are the
     // objective; n_threads only changes host-side scheduling).
@@ -120,9 +139,9 @@ TEST(Tuner, WinnerNeverLosesToDefault) {
 
 TEST(Tuner, LowerBoundNeverExceedsModelledTime) {
   // The pruning bound's soundness contract, checked on every evaluated
-  // candidate of the full default space on one device per vendor.
+  // candidate of the edge space on one device per vendor.
   const core::AssemblyInput in = probe();
-  AutoTuner::Options o;
+  AutoTuner::Options o = edge_options();
   o.prune = false;  // force-evaluate everything
   const AutoTuner tuner(o);
   for (const char* slug : {"a100", "mi300x", "cpu-simd"}) {
@@ -140,13 +159,14 @@ TEST(Tuner, LowerBoundNeverExceedsModelledTime) {
 }
 
 TEST(Tuner, PrunedCandidatesNeverBeatTheWinner) {
-  // Force-evaluate the full space without pruning, then re-run with
+  // Force-evaluate the edge space without pruning, then re-run with
   // pruning: the winner must be identical, and every candidate the pruned
   // run skipped must have a (force-evaluated) time no better than the
-  // winner's.
-  const core::AssemblyInput in = probe();
-  AutoTuner::Options pruned_opts;   // default: prune = true
-  AutoTuner::Options full_opts;
+  // winner's. At 50 contigs the 1 MiB budget splits the probe into enough
+  // launches for the bound to prune; on smaller probes nothing is pruned.
+  const core::AssemblyInput in = probe(33, 50);
+  AutoTuner::Options pruned_opts = edge_options();  // prune = true
+  AutoTuner::Options full_opts = edge_options();
   full_opts.prune = false;
 
   const simt::DeviceSpec* dev = simt::DeviceSpec::find("gh200");
@@ -156,6 +176,7 @@ TEST(Tuner, PrunedCandidatesNeverBeatTheWinner) {
 
   EXPECT_TRUE(same_result(pruned.winner, full.winner));
   EXPECT_EQ(pruned.evaluated + pruned.pruned, full.evaluated);
+  EXPECT_GT(pruned.pruned, 0U) << "vacuous: nothing was pruned";
   ASSERT_EQ(pruned.all.size(), full.all.size());
   for (std::size_t i = 0; i < pruned.all.size(); ++i) {
     ASSERT_TRUE(pruned.all[i].cand == full.all[i].cand);
@@ -172,7 +193,7 @@ TEST(Tuner, PrunedCandidatesNeverBeatTheWinner) {
 TEST(Tuner, TunedConfigMatchesSerialOracle) {
   // Golden bit-identity: the kernel under every device's tuned
   // configuration still reproduces the serial CPU reference extensions.
-  const core::AssemblyInput in = probe(33, 40, 7);
+  const core::AssemblyInput in = probe(33, 12, 7);
   const auto reports = AutoTuner(small_options())
                            .tune_zoo(simt::DeviceSpec::zoo(), in);
   for (const auto& r : reports) {
@@ -196,7 +217,7 @@ TEST(Tuner, QualityGateRejectsFasterButWorseCandidates) {
   // may win on time while assembling fewer bases; the gate keeps such
   // candidates out of the winner slot. Construct the comparison directly:
   // every gated winner must match or beat the ungated winner's bases.
-  const core::AssemblyInput in = probe(55, 40, 11);  // deep-ladder k
+  const core::AssemblyInput in = probe(55, 20, 11);  // deep-ladder k
   AutoTuner::Options gated = small_options();
   AutoTuner::Options ungated = small_options();
   ungated.require_no_quality_loss = false;

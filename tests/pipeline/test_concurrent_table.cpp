@@ -1,8 +1,9 @@
 // Differential suite for the lock-free concurrent k-mer table and the
-// streaming bounded-memory ingest path. The serial per-chunk + merge path
-// (CountMode::kMergeOracle) is the oracle: random interleaved
-// insert/increment workloads, growth storms and whole-stage counting must
-// produce contents bit-identical to it at 1/2/4/8 threads, and the
+// streaming bounded-memory ingest path. Serial counting and the per-chunk +
+// ordered-merge counter kept below as a test-only oracle are the oracles:
+// random interleaved insert/increment workloads, growth storms and
+// whole-stage counting must produce contents bit-identical to them at
+// 1/2/4/8 threads, and the
 // streaming reader must reproduce the eager parser's reads under any block
 // budget while keeping peak resident bases bounded by the budget — not by
 // the input size. This file is also the TSan workload for the table (see
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -26,6 +28,7 @@
 #include "core/exec.hpp"
 #include "pipeline/kmer_analysis.hpp"
 #include "pipeline/kmer_table.hpp"
+#include "pipeline/parallel.hpp"
 #include "resilience/status.hpp"
 #include "workload/dataset.hpp"
 
@@ -159,14 +162,11 @@ KmerCounts oracle_counts(const std::vector<bio::PackedKmer>& kmers) {
   return counts;
 }
 
-// Inserts `kmers` into a fresh concurrent table from `n_threads` workers
-// (interleaving-heavy: contiguous chunks, all touching the same hot
-// duplicates) and exports the storage into a FlatKmerTable.
-FlatKmerTable<std::uint32_t> concurrent_counts(
-    const std::vector<bio::PackedKmer>& kmers,
-    core::WarpExecutionEngine* pool, std::size_t min_slots = 64,
-    std::uint64_t* rebuilds = nullptr) {
-  ConcurrentKmerCountTable table(min_slots);
+// Inserts `kmers` into `table` from the pool's workers (interleaving-
+// heavy: contiguous chunks, all touching the same hot duplicates).
+void concurrent_insert(ConcurrentKmerCountTable& table,
+                       const std::vector<bio::PackedKmer>& kmers,
+                       core::WarpExecutionEngine* pool) {
   const std::size_t n_tasks =
       pool != nullptr ? std::max<std::size_t>(1, pool->n_threads() * 4) : 1;
   const auto run_task = [&](std::size_t t) {
@@ -184,6 +184,15 @@ FlatKmerTable<std::uint32_t> concurrent_counts(
   } else {
     run_task(0);
   }
+}
+
+// concurrent_insert into a fresh table, exported into a FlatKmerTable.
+FlatKmerTable<std::uint32_t> concurrent_counts(
+    const std::vector<bio::PackedKmer>& kmers,
+    core::WarpExecutionEngine* pool, std::size_t min_slots = 64,
+    std::uint64_t* rebuilds = nullptr) {
+  ConcurrentKmerCountTable table(min_slots);
+  concurrent_insert(table, kmers, pool);
   if (rebuilds != nullptr) *rebuilds = table.rebuilds();
   FlatKmerTable<std::uint32_t> out;
   table.export_into(out);
@@ -268,28 +277,104 @@ TEST(ConcurrentKmerTable, ExportedShardsIterateLikeTheOracle) {
     EXPECT_EQ(extract_sorted_shards(table), oracle_shards)
         << "threads=" << (pool ? pool->n_threads() : 1);
   }
+
+  // Masked reserve/export — the distributed recount case: only the masked
+  // shards are sized and moved, the destination's other shards keep what
+  // they held, and the source keeps its unmasked shards for a later export.
+  constexpr std::uint64_t kMask = 0x5555555555555555ULL;
+  const KmerCounts kept = oracle_counts(sampled_kmers(506, 5000, 3000, 21));
+  const auto kept_shards = extract_sorted_shards(kept.table());
+  for (const auto& pool : test_pools()) {
+    const std::string where =
+        "threads=" + std::to_string(pool ? pool->n_threads() : 1);
+    ConcurrentKmerCountTable table;
+    table.reserve(kmers.size(), kMask);
+    EXPECT_EQ(table.rebuilds(),
+              static_cast<std::uint64_t>(std::popcount(kMask)))
+        << where;
+    concurrent_insert(table, kmers, pool.get());
+    FlatKmerTable<std::uint32_t> dest = kept.table();
+    table.export_into(dest, kMask);
+    FlatKmerTable<std::uint32_t> rest;
+    table.export_into(rest, ~kMask);
+    const auto dest_shards = extract_sorted_shards(dest);
+    const auto rest_shards = extract_sorted_shards(rest);
+    for (std::uint32_t s = 0; s < FlatKmerTable<std::uint32_t>::kShards;
+         ++s) {
+      if (kMask >> s & 1) {
+        EXPECT_EQ(dest_shards[s], oracle_shards[s]) << where << " shard=" << s;
+        EXPECT_TRUE(rest_shards[s].empty()) << where << " shard=" << s;
+      } else {
+        EXPECT_EQ(dest_shards[s], kept_shards[s]) << where << " shard=" << s;
+        EXPECT_EQ(rest_shards[s], oracle_shards[s])
+            << where << " shard=" << s;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// count_kmers mode differential: concurrent vs merge-oracle vs auto.
+// count_kmers vs the per-chunk + ordered-merge oracle.
 
-TEST(ConcurrentKmerTable, CountModesAreBitIdenticalAtEveryThreadCount) {
+// The counter the shared concurrent table replaced, kept as an oracle that
+// does not share the table: per-chunk partial maps, then a deterministic
+// merge one shard per task in ascending chunk order. Runs the two-phase
+// structure even without a parallel pool (one chunk, then the merge pass).
+KmerCounts count_kmers_merge(const bio::ReadSet& reads, std::uint32_t k,
+                             bool canonical,
+                             core::WarpExecutionEngine* pool) {
+  const std::uint64_t windows = reads.total_kmers(k);
+  KmerCounts counts;
+  counts.reserve(distinct_estimate(windows));
+
+  // Phase 1: per-chunk partial counts. The chunk decomposition is a pure
+  // function of (read count, worker count) — whichever worker claims a
+  // chunk produces the same partial map, so stealing cannot perturb the
+  // merge below.
+  const ChunkPlan plan(reads.size(), pool);
+  std::vector<KmerCounts> partial(plan.n_chunks);
+  stage_for(pool, plan.n_chunks, [&](std::size_t chunk, unsigned) {
+    KmerCounts& local = partial[chunk];
+    local.reserve(distinct_estimate(windows) / plan.n_chunks);
+    insert_read_kmers(local, reads, plan.begin(chunk), plan.end(chunk), k,
+                      canonical);
+  });
+
+  // Phase 2: deterministic ordered merge, one task per shard. A k-mer's
+  // shard is a pure function of its hash, so tasks touch disjoint slots of
+  // the destination; each task scans the partials in ascending chunk
+  // order, making the merged layout — not just the contents — independent
+  // of scheduling.
+  stage_for(pool, KmerCounts::Table::kShards, [&](std::size_t shard,
+                                                  unsigned) {
+    const auto sid = static_cast<std::uint32_t>(shard);
+    for (const KmerCounts& local : partial) {
+      local.table().for_each_in_shard(
+          sid, [&](const KmerCounts::Table::Entry& e) {
+            counts.table().get_or_insert_in_shard(sid, e.key) += e.value;
+          });
+    }
+  });
+  counts.rebuild_size();
+  return counts;
+}
+
+TEST(ConcurrentKmerTable, CountMatchesMergeOracleAtEveryThreadCount) {
   const bio::ReadSet reads = shotgun(random_seq(21, 6000), 12.0, 110, 77);
   for (const bool canonical : {false, true}) {
     const KmerCounts serial = count_kmers(reads, 21, canonical);
     const std::uint64_t want = fingerprint_counts(serial);
     for (const auto& pool : test_pools()) {
-      for (const CountMode mode :
-           {CountMode::kAuto, CountMode::kMergeOracle,
-            CountMode::kConcurrent}) {
-        const KmerCounts counts =
-            count_kmers(reads, 21, canonical, pool.get(), mode);
-        EXPECT_EQ(counts.size(), serial.size());
-        EXPECT_EQ(fingerprint_counts(counts), want)
-            << "threads=" << (pool ? pool->n_threads() : 1)
-            << " mode=" << static_cast<int>(mode)
-            << " canonical=" << canonical;
-      }
+      const std::string where =
+          "threads=" + std::to_string(pool ? pool->n_threads() : 1) +
+          " canonical=" + std::to_string(canonical);
+      const KmerCounts oracle =
+          count_kmers_merge(reads, 21, canonical, pool.get());
+      EXPECT_EQ(oracle.size(), serial.size()) << where;
+      EXPECT_EQ(fingerprint_counts(oracle), want) << where;
+      const KmerCounts counts = count_kmers(reads, 21, canonical, pool.get());
+      EXPECT_EQ(counts.size(), serial.size()) << where;
+      EXPECT_EQ(fingerprint_counts(counts), want) << where;
     }
   }
 }

@@ -12,12 +12,15 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bio/fasta.hpp"
 #include "bio/rng.hpp"
+#include "bio/stream.hpp"
 #include "core/exec.hpp"
 #include "pipeline/aligner.hpp"
 #include "pipeline/dbg.hpp"
@@ -195,25 +198,26 @@ TEST(FrontendParallel, CanonicalCountsMatchGoldenAtEveryThreadCount) {
   }
 }
 
-TEST(FrontendParallel, CountModesMatchGoldenAtEveryThreadCount) {
-  // Forced-mode matrix: the merge oracle and the forced concurrent table
-  // hit the same goldens as kAuto at every pool, so the golden constants
-  // pin all three counting strategies, not just the default dispatch.
-  const bio::ReadSet& reads = workload_reads();
+TEST(FrontendParallel, StreamingCountsMatchGoldenAtEveryThreadCount) {
+  // count_kmers_stream counts through the shared concurrent table at every
+  // pool, the serial one included, so the golden constants pin that table
+  // with and without workers, not just count_kmers' dispatch.
+  std::ostringstream fastq;
+  bio::write_fastq(fastq, workload_reads());
   for (const auto& pool : test_pools()) {
-    for (const CountMode mode :
-         {CountMode::kMergeOracle, CountMode::kConcurrent}) {
+    for (const bool canonical : {false, true}) {
+      std::istringstream in(fastq.str());
+      bio::SequenceStreamReader reader(in, "reads.fq", {16 << 10});
+      StreamCountStats stats;
       const KmerCounts counts =
-          count_kmers(reads, 21, false, pool.get(), mode);
-      EXPECT_EQ(counts.size(), kGoldenCountsSize);
-      EXPECT_EQ(fingerprint_counts(counts), kGoldenCountsFnv)
+          count_kmers_stream(reader, 21, canonical, pool.get(), &stats);
+      EXPECT_GT(stats.blocks, 1U);
+      EXPECT_EQ(counts.size(),
+                canonical ? kGoldenCanonSize : kGoldenCountsSize);
+      EXPECT_EQ(fingerprint_counts(counts),
+                canonical ? kGoldenCanonFnv : kGoldenCountsFnv)
           << "threads=" << (pool ? pool->n_threads() : 1)
-          << " mode=" << static_cast<int>(mode);
-      const KmerCounts canon =
-          count_kmers(reads, 21, true, pool.get(), mode);
-      EXPECT_EQ(fingerprint_counts(canon), kGoldenCanonFnv)
-          << "threads=" << (pool ? pool->n_threads() : 1)
-          << " mode=" << static_cast<int>(mode);
+          << " canonical=" << canonical;
     }
   }
 }

@@ -63,26 +63,37 @@ TEST(Partition, ZeroRanksThrows) {
   EXPECT_THROW(partition_input(in, 0), std::invalid_argument);
 }
 
+// A homogeneous fleet of `n` copies of `dev` with no fault plan armed.
+MultiGpuResult run_fleet(const core::AssemblyInput& in,
+                         const simt::DeviceSpec& dev, std::size_t n) {
+  return run_multi_gpu_resilient(in, std::vector<simt::DeviceSpec>(n, dev),
+                                 {}, nullptr);
+}
+
+void expect_same_extensions(const std::vector<bio::ContigExtension>& got,
+                            const std::vector<bio::ContigExtension>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].left, want[i].left) << i;
+    EXPECT_EQ(got[i].right, want[i].right) << i;
+    EXPECT_EQ(got[i].contig_id, want[i].contig_id) << i;
+  }
+}
+
 TEST(MultiGpu, ResultsMatchSingleDevice) {
   const auto in = dataset();
   core::LocalAssembler single(simt::DeviceSpec::a100());
   const auto ref = single.run(in);
   for (std::uint32_t ranks : {1U, 2U, 5U}) {
-    const MultiGpuResult r =
-        run_multi_gpu(in, simt::DeviceSpec::a100(), ranks);
-    ASSERT_EQ(r.extensions.size(), ref.extensions.size());
-    for (std::size_t i = 0; i < ref.extensions.size(); ++i) {
-      EXPECT_EQ(r.extensions[i].left, ref.extensions[i].left) << i;
-      EXPECT_EQ(r.extensions[i].right, ref.extensions[i].right) << i;
-      EXPECT_EQ(r.extensions[i].contig_id, ref.extensions[i].contig_id);
-    }
+    const MultiGpuResult r = run_fleet(in, simt::DeviceSpec::a100(), ranks);
+    expect_same_extensions(r.extensions, ref.extensions);
   }
 }
 
 TEST(MultiGpu, MakespanShrinksWithRanks) {
   const auto in = dataset(120);
-  const auto r1 = run_multi_gpu(in, simt::DeviceSpec::a100(), 1);
-  const auto r4 = run_multi_gpu(in, simt::DeviceSpec::a100(), 4);
+  const auto r1 = run_fleet(in, simt::DeviceSpec::a100(), 1);
+  const auto r4 = run_fleet(in, simt::DeviceSpec::a100(), 4);
   EXPECT_LT(r4.makespan_s, r1.makespan_s);
   EXPECT_EQ(r1.ranks.size(), 1U);
   EXPECT_EQ(r4.ranks.size(), 4U);
@@ -92,7 +103,7 @@ TEST(MultiGpu, MakespanShrinksWithRanks) {
 
 TEST(MultiGpu, ReportsAccountEveryContig) {
   const auto in = dataset(50);
-  const auto r = run_multi_gpu(in, simt::DeviceSpec::mi250x_gcd(), 3);
+  const auto r = run_fleet(in, simt::DeviceSpec::mi250x_gcd(), 3);
   std::uint64_t contigs = 0;
   for (const auto& rep : r.ranks) contigs += rep.contigs;
   EXPECT_EQ(contigs, in.contigs.size());
@@ -110,25 +121,21 @@ std::vector<simt::DeviceSpec> a100s(std::size_t n) {
 
 TEST(MultiGpuResilient, NullOrEmptyPlanMatchesBaseline) {
   const auto in = dataset();
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const core::AssemblyResult single =
+      core::LocalAssembler(simt::DeviceSpec::a100()).run(in);
+  const auto unarmed = run_multi_gpu_resilient(in, "a100", 3, {}, nullptr);
+  expect_same_extensions(unarmed.extensions, single.extensions);
+  EXPECT_TRUE(unarmed.failures.clean());
   const resilience::FaultPlan empty(9);
-  for (const resilience::FaultPlan* plan :
-       {static_cast<const resilience::FaultPlan*>(nullptr), &empty}) {
-    const auto r = run_multi_gpu_resilient(in, "a100", 3, {}, plan);
-    ASSERT_EQ(r.extensions.size(), base.extensions.size());
-    for (std::size_t i = 0; i < base.extensions.size(); ++i) {
-      EXPECT_EQ(r.extensions[i].left, base.extensions[i].left) << i;
-      EXPECT_EQ(r.extensions[i].right, base.extensions[i].right) << i;
-      EXPECT_EQ(r.extensions[i].contig_id, base.extensions[i].contig_id);
-    }
-    EXPECT_TRUE(r.failures.clean());
-    EXPECT_EQ(r.makespan_s, base.makespan_s);
-  }
+  const auto armed = run_multi_gpu_resilient(in, "a100", 3, {}, &empty);
+  expect_same_extensions(armed.extensions, single.extensions);
+  EXPECT_TRUE(armed.failures.clean());
+  EXPECT_EQ(armed.makespan_s, unarmed.makespan_s);
 }
 
 TEST(MultiGpuResilient, LostRankIsRebalancedBitIdentically) {
   const auto in = dataset(60);
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const auto base = run_fleet(in, simt::DeviceSpec::a100(), 3);
 
   resilience::FaultPlan plan(42);
   plan.add_device_loss(/*rank=*/1, /*after_batch=*/1);
@@ -165,7 +172,7 @@ TEST(MultiGpuResilient, LostRankIsRebalancedBitIdentically) {
 
 TEST(MultiGpuResilient, MultipleLossesRecoverOntoTheLastSurvivor) {
   const auto in = dataset(40);
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 3);
+  const auto base = run_fleet(in, simt::DeviceSpec::a100(), 3);
   resilience::FaultPlan plan(1);
   plan.add_device_loss(0, 1);
   plan.add_device_loss(2, 1);
@@ -272,7 +279,7 @@ TEST(MultiGpuResilient, RankIdsCarryPhysicalIdentities) {
             (std::vector<std::uint32_t>{5U}));
 
   // Results are still bit-identical to the loss-free run.
-  const auto base = run_multi_gpu(in, simt::DeviceSpec::a100(), 2);
+  const auto base = run_fleet(in, simt::DeviceSpec::a100(), 2);
   ASSERT_EQ(r.extensions.size(), base.extensions.size());
   for (std::size_t i = 0; i < base.extensions.size(); ++i) {
     EXPECT_EQ(r.extensions[i].left, base.extensions[i].left) << i;
