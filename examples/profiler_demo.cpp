@@ -10,6 +10,7 @@
 
 #include "core/assembler.hpp"
 #include "model/profiler.hpp"
+#include "trace/metrics.hpp"
 #include "workload/dataset.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +33,10 @@ int main(int argc, char** argv) {
   for (const auto& dev : simt::DeviceSpec::study_devices()) {
     core::LocalAssembler assembler(dev);
     const core::AssemblyResult result = assembler.run(input);
-    const model::ProfileReport report = model::profile(dev, result);
+    trace::MetricsRegistry registry;
+    core::record_run_metrics(result, registry);
+    const model::ProfileReport report =
+        model::profile(dev, registry.snapshot(), result.total_time_s);
     model::print_profile(std::cout, report);
     if (dev.vendor == simt::Vendor::kNvidia) {
       model::print_launch_timeline(std::cout, dev, result);

@@ -18,12 +18,15 @@
 # framing/recovery paths — the error paths exercised by injected faults
 # and corrupted inputs must be leak-, overflow- and UB-clean, not just
 # reach the right verdict.
-# Leg 3 (autotune determinism, Release): two fresh tuner runs over the
-# device zoo must agree byte-for-byte, show tuned <= default everywhere
-# and hold the recorded speedup floors, and both artifacts must parse.
-# Any race, sanitizer report, test failure, malformed JSON or autotune
-# mismatch fails the script. Host wall-clock performance is measured by
-# perfbench/ (python3 perfbench/run.py), not here. Usage:
+# Leg 3 (Release): two fresh tuner runs over the device zoo must agree
+# byte-for-byte, show tuned <= default everywhere and hold the recorded
+# speedup floors, and both artifacts must parse; then one short perfbench
+# run per BENCHMARK.json workload must reproduce its recorded output
+# digest (perfbench/golden.txt) with no failed operation.
+# Any race, sanitizer report, test failure, malformed JSON, autotune
+# mismatch or golden-digest change fails the script. Host wall-clock
+# performance is measured by perfbench/ (python3 perfbench/run.py), not
+# here. Usage:
 #
 #   scripts/check.sh [build-dir]     # default: build-tsan
 set -euo pipefail
@@ -225,3 +228,24 @@ if len(rows) < 2 + len(j["devices"]) or rows[-1][0] != "portability":
 print(f"check.sh: tuner improved {improved}/{len(j['devices'])} zoo devices; scorecard has {len(rows)} rows.")
 EOF
 echo "check.sh: autotune gate clean."
+
+# Golden gate: a one-second perfbench run of every workload (built under
+# its own tree) must end with "correct": true and "failed": 0. The
+# reads_4rank digest covers the distributed message traffic (msgs, bytes,
+# batches, drops, retransmits, flushes, network seconds), so a change in
+# what the ranks send fails here, not only in a manual benchmark run.
+PERF_BUILD="${BUILD}-perfbench"
+WORKLOADS=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for W in $WORKLOADS; do
+  LAST=$(CARGO_TARGET_DIR="$PERF_BUILD" \
+    python3 perfbench/run.py --workload "$W" --seed 1 --seconds 1 | tail -n 1)
+  python3 - "$W" "$LAST" <<'EOF'
+import json, sys
+name, r = sys.argv[1], json.loads(sys.argv[2])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(f"check.sh: FAIL - perfbench {name}: correct={r.get('correct')} failed={r.get('failed')}")
+print(f"check.sh: perfbench {name} matches its golden digest ({r['attempted']} runs, 0 failed).")
+EOF
+done
+echo "check.sh: perfbench golden gate clean."

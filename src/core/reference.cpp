@@ -51,14 +51,14 @@ KmerTable build_table(const bio::ReadSet& reads,
   return table;
 }
 
-struct Walk {
+struct MerWalk {
   std::string seq;
   WalkState state = WalkState::kMissing;
 };
 
-Walk do_walk(const KmerTable& table, std::string_view contig,
-             std::uint32_t mer, const AssemblyOptions& opts) {
-  Walk out;
+MerWalk do_walk(const KmerTable& table, std::string_view contig,
+                std::uint32_t mer, const AssemblyOptions& opts) {
+  MerWalk out;
   if (contig.size() < mer) return out;
   std::string window(contig.substr(contig.size() - mer));
   std::unordered_set<std::string> visited;
@@ -122,7 +122,7 @@ LadderResult extend_side(const bio::ReadSet& reads,
   for (std::uint32_t mer : mer_ladder(kmer_len, opts)) {
     if (mer > contig.size() || mer >= bio::kMaxK) continue;
     const KmerTable table = build_table(reads, read_ids, mer, opts);
-    Walk walk = do_walk(table, contig, mer, opts);
+    MerWalk walk = do_walk(table, contig, mer, opts);
     const bool accepted = walk_accepted(walk.state) && !walk.seq.empty();
     if (!have || walk.seq.size() > result.extension.size()) {
       result.extension = std::move(walk.seq);

@@ -34,9 +34,10 @@ namespace lassm::dist {
 
 class DistKmerTable {
  public:
-  /// MessageLayer channel assignments for the whole dist subsystem (the
-  /// walk channel is used by the distributed DBG, not by this class, but
-  /// lives here so every user shares one numbering).
+  /// MessageLayer channel assignments for the whole dist subsystem. The
+  /// walk channel carries the distributed DBG's handoffs (a walk whose
+  /// next node another rank owns), not this class's traffic; it lives
+  /// here so every user shares one numbering.
   enum Channel : std::uint32_t {
     kInsertChannel = 0,
     kFindReqChannel = 1,

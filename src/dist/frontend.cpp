@@ -2,18 +2,24 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "pipeline/parallel.hpp"
+#include "pipeline/unitig_walk.hpp"
 
 namespace lassm::dist {
 
 namespace {
 
 using Table = pipeline::KmerCounts::Table;
+namespace unitig = pipeline::unitig;
 using Channel = DistKmerTable::Channel;
 
 /// Contiguous read block [begin, end) for the li-th of n_live ranks.
@@ -146,44 +152,25 @@ std::size_t filter_low_count_dist(DistKmerTable& table,
 
 namespace {
 
-/// Per-rank view of the distributed graph: the rank's owned nodes in
-/// sorted order plus classification results. Degree/code/visited arrays
-/// are indexed by the local table's dense slot id (as in the single-rank
-/// walker), so a walk arriving at any owned node finds its state with one
-/// dense_find.
-struct RankGraph {
-  std::vector<bio::PackedKmer> nodes;      ///< owned nodes, sorted
-  std::vector<std::uint64_t> node_id;      ///< dense id per node index
-  std::array<std::uint64_t, Table::kShards + 1> offsets{};
-  std::vector<std::uint8_t> out_deg;       ///< by dense id
-  std::vector<std::int8_t> out_code;       ///< last present successor code
-  std::vector<std::uint8_t> in_deg;        ///< by dense id
-  std::vector<std::uint8_t> visited;       ///< by dense id
-  std::vector<std::uint8_t> is_head;       ///< by node index
-  std::uint64_t forks = 0;
-  std::uint64_t dead_ends = 0;
+using unitig::Slot;
+using unitig::WalkRecord;
+
+/// A rank's classified share of the graph: one Slot per dense id of its
+/// local table, then the sentinel that every remote successor points to.
+/// The sentinel's in_weight is 0, so the shared step loop stops there
+/// exactly where the walk has to leave the rank.
+struct RankSlots {
+  unitig::Offsets offsets{};
+  std::vector<Slot> slots;
+  std::vector<std::uint8_t> visited;
+
+  std::uint32_t sentinel() const noexcept {
+    return static_cast<std::uint32_t>(offsets.back());
+  }
 };
 
-/// One finished unitig walk; pass-1 records are sorted by head afterwards
-/// to recover the single-rank emission order (by start k-mer).
-struct WalkRecord {
-  bio::PackedKmer head;
-  std::string seq;
-  double depth_sum;
-  std::uint64_t path_nodes;
-};
-
-/// In-flight walk state. Crosses ranks as a WalkHeader + the sequence
-/// bytes on the walk channel.
-struct Walk {
-  bio::PackedKmer head;
-  bio::PackedKmer cur;    ///< current node
-  std::uint64_t cur_id;   ///< dense id of the current node on its owner
-  std::string seq;
-  double depth_sum;
-  std::uint64_t path_nodes;
-};
-
+/// A walk crossing ranks travels as this header plus its sequence so far
+/// on the walk channel.
 struct WalkHeader {
   bio::PackedKmer head;
   bio::PackedKmer next;        ///< candidate node on the receiving rank
@@ -193,173 +180,85 @@ struct WalkHeader {
   std::uint32_t seq_len;
 };
 
-/// Distributed walk engine: advances walks through rank-local absorption
-/// runs, handing off across shard boundaries via batched walk messages.
-class WalkEngine {
+/// Routes walks between ranks: a walk whose local run stopped at the
+/// sentinel goes to the successor's owner, which checks the arrival and
+/// continues the shared step loop; every other walk is finished.
+class WalkRouter {
  public:
-  WalkEngine(DistKmerTable& table, std::vector<RankGraph>& graphs)
-      : table_(table), graphs_(graphs) {}
+  WalkRouter(DistKmerTable& table, std::vector<RankSlots>& ranks)
+      : table_(table), ranks_(ranks) {}
 
-  void set_sink(std::vector<WalkRecord>* sink) { sink_ = sink; }
-
-  /// Starts a walk at an owned, unvisited node and advances it until it
-  /// finishes locally or leaves the rank.
-  void start(std::uint32_t rank, const bio::PackedKmer& km,
-             std::uint64_t dense_id, std::uint32_t count) {
-    Walk w;
-    w.head = km;
-    w.cur = km;
-    w.cur_id = dense_id;
-    w.seq = km.unpack();
-    w.depth_sum = static_cast<double>(count);
-    w.path_nodes = 1;
-    graphs_[rank].visited[dense_id] = 1;
-    advance(rank, w);
+  /// Finishes `r` into `out`, or hands it off when its last node's only
+  /// successor lives on another rank.
+  void settle(std::uint32_t rank, WalkRecord& r,
+              std::vector<WalkRecord>& out) {
+    const RankSlots& g = ranks_[rank];
+    const Slot& s = g.slots[r.last];
+    if (s.out_deg != 1 || s.next_id != g.sentinel()) {
+      out.push_back(std::move(r));
+      return;
+    }
+    // The last k bases of the walk spell its last node.
+    const std::uint32_t k = r.head.k();
+    WalkHeader hdr;
+    hdr.head = r.head;
+    hdr.next = bio::PackedKmer::pack(
+                   std::string_view(r.seq).substr(r.seq.size() - k))
+                   .successor(s.out_code);
+    hdr.depth_sum = r.depth_sum;
+    hdr.path_nodes = r.path_nodes;
+    hdr.base_code = s.out_code;
+    hdr.seq_len = static_cast<std::uint32_t>(r.seq.size());
+    scratch_.resize(sizeof(hdr) + r.seq.size());
+    std::memcpy(scratch_.data(), &hdr, sizeof(hdr));
+    std::memcpy(scratch_.data() + sizeof(hdr), r.seq.data(), r.seq.size());
+    const std::uint32_t owner = table_.map().rank_of_hash(hdr.next.hash64());
+    table_.msg().send_bytes(rank, owner, Channel::kWalkChannel,
+                            scratch_.data(),
+                            static_cast<std::uint32_t>(scratch_.size()));
   }
 
-  /// Runs flush/drain supersteps until no walk message is in flight.
-  void drain(const std::vector<std::uint32_t>& live) {
+  /// Runs flush/receive supersteps until no walk message is in flight.
+  void drain(const std::vector<std::uint32_t>& live,
+             std::vector<WalkRecord>& out) {
     MessageLayer& msg = table_.msg();
     while (msg.pending() > 0) {
       msg.flush();
       for (const std::uint32_t rank : live) {
         msg.for_each_bytes(rank, Channel::kWalkChannel,
-                           [&](std::uint32_t, const char* p, std::uint32_t n) {
-                             receive(rank, p, n);
+                           [&](std::uint32_t, const char* p, std::uint32_t) {
+                             receive(rank, p, out);
                            });
       }
     }
   }
 
  private:
-  void finish(Walk& w) {
-    sink_->push_back(WalkRecord{w.head, std::move(w.seq), w.depth_sum,
-                               w.path_nodes});
-  }
-
-  /// Local absorption loop — the exact step logic of the single-rank
-  /// walk in pipeline::generate_contigs, split at rank boundaries: stop at
-  /// forks/dead ends, stop at visited or joined next nodes, otherwise
-  /// absorb and keep walking.
-  void advance(std::uint32_t rank, Walk& w) {
-    RankGraph& g = graphs_[rank];
-    const Table& local = table_.local(rank).table();
-    while (true) {
-      if (g.out_deg[w.cur_id] != 1) {  // dead end or fork: path stops here
-        finish(w);
-        return;
-      }
-      const int code = g.out_code[w.cur_id];
-      const bio::PackedKmer next = w.cur.successor(code);
-      const std::uint32_t owner = table_.map().rank_of_hash(next.hash64());
-      if (owner != rank) {
-        handoff(rank, owner, w, next, code);
-        return;
-      }
-      const Table::Found f = local.dense_find(next, g.offsets);
-      if (g.visited[f.id] != 0 || g.in_deg[f.id] != 1) {
-        finish(w);  // cycle, already-used node, or join: next starts anew
-        return;
-      }
-      absorb(g, w, next, f, code);
-    }
-  }
-
-  void absorb(RankGraph& g, Walk& w, const bio::PackedKmer& next,
-              const Table::Found& f, int code) {
-    w.seq.push_back(bio::code_to_base(code));
-    w.depth_sum += static_cast<double>(*f.value);
-    g.visited[f.id] = 1;
-    w.cur = next;
-    w.cur_id = f.id;
-    ++w.path_nodes;
-  }
-
-  void handoff(std::uint32_t src, std::uint32_t dst, const Walk& w,
-               const bio::PackedKmer& next, int code) {
-    WalkHeader hdr;
-    hdr.head = w.head;
-    hdr.next = next;
-    hdr.depth_sum = w.depth_sum;
-    hdr.path_nodes = w.path_nodes;
-    hdr.base_code = code;
-    hdr.seq_len = static_cast<std::uint32_t>(w.seq.size());
-    scratch_.resize(sizeof(hdr) + w.seq.size());
-    std::memcpy(scratch_.data(), &hdr, sizeof(hdr));
-    std::memcpy(scratch_.data() + sizeof(hdr), w.seq.data(), w.seq.size());
-    table_.msg().send_bytes(src, dst, Channel::kWalkChannel, scratch_.data(),
-                            static_cast<std::uint32_t>(scratch_.size()));
-  }
-
-  /// Receiving side of a handoff: apply the visited/join checks *before*
-  /// accepting the edge (the single-rank walk checks them before
-  /// appending the base), then continue the absorption loop locally.
-  void receive(std::uint32_t rank, const char* p, std::uint32_t n) {
+  /// Receiving side of a handoff: the arrival is one step of the shared
+  /// loop (the sender could not read the join and visited checks), then
+  /// the loop continues locally.
+  void receive(std::uint32_t rank, const char* p,
+               std::vector<WalkRecord>& out) {
     WalkHeader hdr;
     std::memcpy(&hdr, p, sizeof(hdr));
-    Walk w;
-    w.head = hdr.head;
-    w.seq.assign(p + sizeof(hdr), n - sizeof(hdr));
-    w.depth_sum = hdr.depth_sum;
-    w.path_nodes = hdr.path_nodes;
-
-    RankGraph& g = graphs_[rank];
-    const Table::Found f =
-        table_.local(rank).table().dense_find(hdr.next, g.offsets);
-    if (g.visited[f.id] != 0 || g.in_deg[f.id] != 1) {
-      finish(w);
+    WalkRecord r{hdr.head, std::string(p + sizeof(hdr), hdr.seq_len),
+                 hdr.depth_sum, hdr.path_nodes, 0};
+    RankSlots& g = ranks_[rank];
+    const auto id = static_cast<std::uint32_t>(
+        table_.local(rank).table().dense_find(hdr.next, g.offsets).id);
+    if (!unitig::absorb(g.slots.data(), g.visited.data(), r, hdr.base_code,
+                        id)) {
+      out.push_back(std::move(r));
       return;
     }
-    absorb(g, w, hdr.next, f, hdr.base_code);
-    advance(rank, w);
+    unitig::extend(g.slots.data(), g.visited.data(), r);
+    settle(rank, r, out);
   }
 
   DistKmerTable& table_;
-  std::vector<RankGraph>& graphs_;
-  std::vector<WalkRecord>* sink_ = nullptr;
+  std::vector<RankSlots>& ranks_;
   std::vector<char> scratch_;
 };
-
-/// Extracts a rank's owned nodes in sorted order (per-shard extract +
-/// sort + heap merge over the rank's shards).
-void build_node_order(const pipeline::KmerCounts& counts, RankGraph& g,
-                      core::WarpExecutionEngine* pool) {
-  const Table& table = counts.table();
-  std::array<std::vector<bio::PackedKmer>, Table::kShards> per_shard;
-  pipeline::stage_for(pool, Table::kShards, [&](std::size_t shard, unsigned) {
-    std::vector<bio::PackedKmer>& keys = per_shard[shard];
-    keys.reserve(table.shard_entries(static_cast<std::uint32_t>(shard)));
-    table.for_each_in_shard(static_cast<std::uint32_t>(shard),
-                            [&](const Table::Entry& e) {
-                              if (e.value != 0) keys.push_back(e.key);
-                            });
-    std::sort(keys.begin(), keys.end());
-  });
-
-  g.nodes.reserve(counts.size());
-  struct Cursor {
-    const bio::PackedKmer* cur;
-    const bio::PackedKmer* end;
-  };
-  const auto later = [](const Cursor& a, const Cursor& b) {
-    return *b.cur < *a.cur;
-  };
-  std::vector<Cursor> heap;
-  for (const auto& keys : per_shard) {
-    if (!keys.empty()) heap.push_back({keys.data(), keys.data() + keys.size()});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& c = heap.back();
-    g.nodes.push_back(*c.cur);
-    if (++c.cur == c.end) {
-      heap.pop_back();
-    } else {
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-}
 
 }  // namespace
 
@@ -367,172 +266,178 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
                                      std::uint32_t min_len,
                                      pipeline::DbgStats* stats,
                                      core::WarpExecutionEngine* pool) {
-  (void)k;
+  (void)k;  // implied by the packed keys, as in generate_contigs
   const ShardMap& map = table.map();
   const std::vector<std::uint32_t> live = map.live_ranks();
   MessageLayer& msg = table.msg();
+  const auto local_table = [&](std::uint32_t rank) -> const Table& {
+    return table.local(rank).table();
+  };
+  // Find answers come back in request order. Requests are made by a
+  // serial pass over a rank's nodes in dense order, so a pool pass over
+  // the same nodes takes each node's answers from a per-shard cursor
+  // started at the shard's first request.
+  using Cursors = std::array<std::size_t, Table::kShards>;
+  const auto first_requests = [](Cursors& per_shard) {
+    std::exclusive_scan(per_shard.begin(), per_shard.end(), per_shard.begin(),
+                        std::size_t{0});
+  };
 
-  std::vector<RankGraph> graphs(map.n_ranks());
-  for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
-    build_node_order(table.local(rank), g, pool);
-    g.offsets = table.local(rank).table().dense_offsets();
-    g.node_id.resize(g.nodes.size());
-    g.out_deg.assign(g.offsets.back(), 0);
-    g.out_code.assign(g.offsets.back(), -1);
-    g.in_deg.assign(g.offsets.back(), 0);
-    g.visited.assign(g.offsets.back(), 0);
-    g.is_head.assign(g.nodes.size(), 0);
-  }
+  std::vector<RankSlots> ranks(map.n_ranks());
+  std::vector<Cursors> cursor(map.n_ranks());
 
   // Classification epoch A: every rank probes, for each owned node, its
   // four successors then its four predecessors (one batched find round
-  // trip for all nodes of all ranks at once). Degrees and the *last*
-  // present edge code follow the single-rank classification's
-  // convention exactly.
+  // trip for all nodes of all ranks at once).
   for (const std::uint32_t rank : live) {
-    for (const bio::PackedKmer& km : graphs[rank].nodes) {
+    RankSlots& g = ranks[rank];
+    g.offsets =
+        unitig::slot_offsets(local_table(rank), "generate_contigs_dist");
+    g.slots.assign(g.offsets.back() + 1, Slot{});
+    g.visited.assign(g.offsets.back() + 1, 0);
+    unitig::for_each_node(local_table(rank), g.offsets, nullptr,
+                          [&](std::size_t shard, std::uint32_t,
+                              const auto& e) {
       for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, km.successor(code));
+        table.find_enqueue(rank, e.key.successor(code));
       }
       for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, km.predecessor(code));
+        table.find_enqueue(rank, e.key.predecessor(code));
       }
-    }
+      ++cursor[rank][shard];
+    });
+    first_requests(cursor[rank]);
   }
   msg.flush();
   for (const std::uint32_t rank : live) table.serve_finds(rank);
   msg.flush();
 
-  std::vector<std::vector<std::int8_t>> pred_code(map.n_ranks());
+  // Each node's own slot: depth, out-degree, the last present edge code
+  // and, when the only successor is owned here, its dense id (else the
+  // sentinel). in_weight holds the in-degree until epoch B.
+  std::atomic<std::uint64_t> forks{0};
+  std::atomic<std::uint64_t> dead_ends{0};
+  std::vector<std::vector<std::uint32_t>> found(map.n_ranks());
   for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
-    const Table& local = table.local(rank).table();
-    const std::vector<std::uint32_t> vals = table.collect_finds(rank);
-    pred_code[rank].assign(g.nodes.size(), -1);
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      const Table::Found f = local.dense_find(g.nodes[i], g.offsets);
-      g.node_id[i] = f.id;
+    RankSlots& g = ranks[rank];
+    found[rank] = table.collect_finds(rank);
+    unitig::for_each_node(local_table(rank), g.offsets, pool,
+                          [&](std::size_t shard, std::uint32_t id,
+                              const auto& e) {
+      const std::uint32_t* v = &found[rank][8 * cursor[rank][shard]++];
       int out = 0;
-      int out_code = -1;
       int in = 0;
+      Slot& s = g.slots[id];
       for (int code = 0; code < bio::kNumBases; ++code) {
-        if (vals[i * 8 + code] != 0) {
+        if (v[code] != 0) {
           ++out;
-          out_code = code;
+          s.out_code = static_cast<std::uint8_t>(code);
         }
-        if (vals[i * 8 + 4 + code] != 0) {
-          ++in;
-          pred_code[rank][i] = static_cast<std::int8_t>(code);
+        if (v[4 + code] != 0) ++in;
+      }
+      s.count = e.value;
+      s.out_deg = static_cast<std::uint8_t>(out);
+      s.in_weight = static_cast<std::uint8_t>(in);
+      s.next_id = g.sentinel();
+      if (out == 1) {
+        const bio::PackedKmer next = e.key.successor(s.out_code);
+        if (map.rank_of_hash(next.hash64()) == rank) {
+          s.next_id = static_cast<std::uint32_t>(
+              local_table(rank).dense_find(next, g.offsets).id);
         }
       }
-      g.out_deg[f.id] = static_cast<std::uint8_t>(out);
-      g.out_code[f.id] = static_cast<std::int8_t>(out_code);
-      g.in_deg[f.id] = static_cast<std::uint8_t>(in);
-      if (out > 1) ++g.forks;
-      if (out == 0) ++g.dead_ends;
-    }
+      if (out == 0) dead_ends.fetch_add(1, std::memory_order_relaxed);
+      if (out > 1) forks.fetch_add(1, std::memory_order_relaxed);
+    });
   }
 
   // Classification epoch B: nodes with in-degree exactly 1 probe their
-  // unique predecessor's four successors; the node is a head unless that
-  // predecessor has out-degree 1 (i.e. the path through it is forced).
+  // unique predecessor's four successors.
   for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.in_deg[g.node_id[i]] != 1) continue;
-      const bio::PackedKmer pred = g.nodes[i].predecessor(pred_code[rank][i]);
-      for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, pred.successor(code));
+    RankSlots& g = ranks[rank];
+    cursor[rank].fill(0);
+    std::size_t i = 0;
+    unitig::for_each_node(local_table(rank), g.offsets, nullptr,
+                          [&](std::size_t shard, std::uint32_t id,
+                              const auto& e) {
+      const std::uint32_t* v = &found[rank][8 * i++];
+      if (g.slots[id].in_weight != 1) return;
+      int code = 0;
+      while (v[4 + code] == 0) ++code;
+      const bio::PackedKmer pred = e.key.predecessor(code);
+      for (int c = 0; c < bio::kNumBases; ++c) {
+        table.find_enqueue(rank, pred.successor(c));
       }
-    }
+      ++cursor[rank][shard];
+    });
+    first_requests(cursor[rank]);
+    found[rank] = {};
   }
   msg.flush();
   for (const std::uint32_t rank : live) table.serve_finds(rank);
   msg.flush();
+
+  // The unique predecessor weighs 1 when the path through it is forced,
+  // 2 when it forks: the single-rank in_weight.
   for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
+    RankSlots& g = ranks[rank];
     const std::vector<std::uint32_t> vals = table.collect_finds(rank);
-    std::size_t probed = 0;
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.in_deg[g.node_id[i]] != 1) {
-        g.is_head[i] = 1;
-        continue;
-      }
-      int pred_out = 0;
-      for (int code = 0; code < bio::kNumBases; ++code) {
-        if (vals[probed * 4 + code] != 0) ++pred_out;
-      }
-      ++probed;
-      g.is_head[i] = pred_out > 1 ? 1 : 0;
-    }
+    unitig::for_each_node(local_table(rank), g.offsets, pool,
+                          [&](std::size_t shard, std::uint32_t id,
+                              const auto&) {
+      if (g.slots[id].in_weight != 1) return;
+      const std::uint32_t* v = &vals[4 * cursor[rank][shard]++];
+      const int pred_out =
+          (v[0] != 0) + (v[1] != 0) + (v[2] != 0) + (v[3] != 0);
+      g.slots[id].in_weight = pred_out > 1 ? 2 : 1;
+    });
   }
 
-  // Pass 1: walk from every head. Walks are vertex-disjoint (a head is
-  // never absorbed by another walk), so the concurrent superstep schedule
-  // produces exactly the records of a serial head loop; sorting them by
-  // head recovers the single-rank emission order.
-  WalkEngine engine(table, graphs);
-  std::vector<WalkRecord> pass1;
-  engine.set_sink(&pass1);
+  // Pass 1: every rank walks its heads on the pool, as generate_contigs
+  // does; walks that reach the sentinel are handed off from the driver,
+  // and the supersteps run until none is in flight. Walks never share a
+  // node, so the records equal a serial head loop's.
+  WalkRouter router(table, ranks);
+  std::vector<WalkRecord> records;
   for (const std::uint32_t rank : live) {
-    RankGraph& g = graphs[rank];
-    const Table& local = table.local(rank).table();
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.is_head[i] == 0) continue;
-      const Table::Found f = local.dense_find(g.nodes[i], g.offsets);
-      engine.start(rank, g.nodes[i], f.id, *f.value);
+    RankSlots& g = ranks[rank];
+    for (WalkRecord& r : unitig::walk_heads(local_table(rank), g.offsets,
+                                            g.slots.data(), g.visited.data(),
+                                            pool)) {
+      router.settle(rank, r, records);
     }
   }
-  engine.drain(live);
-  std::sort(pass1.begin(), pass1.end(),
-            [](const WalkRecord& a, const WalkRecord& b) {
-              return a.head < b.head;
-            });
+  router.drain(live, records);
+  unitig::sort_by_head(records);
 
-  // Pass 2: whatever pass 1 left unvisited sits inside a perfect cycle.
-  // The single-rank walker breaks each cycle at its smallest member; as
-  // there, we gather the (few) unvisited candidates, sort them globally,
-  // and walk them one at a time — each walk completes (drained) before the
-  // next candidate's visited check.
-  std::vector<std::pair<bio::PackedKmer, std::uint32_t>> candidates;
+  // Pass 2: whatever pass 1 left unvisited lies on a perfect cycle. As in
+  // generate_contigs, the candidates of all ranks are sorted and each
+  // cycle is broken at its smallest k-mer; a walk completes (drained)
+  // before the next candidate's visited check.
+  std::vector<std::tuple<bio::PackedKmer, std::uint32_t, std::uint32_t>>
+      left;
   for (const std::uint32_t rank : live) {
-    const RankGraph& g = graphs[rank];
-    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-      if (g.visited[g.node_id[i]] == 0) candidates.emplace_back(g.nodes[i], rank);
+    const RankSlots& g = ranks[rank];
+    for (const auto& [km, id] : unitig::unvisited_nodes(
+             local_table(rank), g.offsets, g.visited.data(), pool)) {
+      left.emplace_back(km, rank, id);
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<WalkRecord> pass2;
-  engine.set_sink(&pass2);
-  for (const auto& [km, rank] : candidates) {
-    RankGraph& g = graphs[rank];
-    const Table::Found f = table.local(rank).table().dense_find(km, g.offsets);
-    if (g.visited[f.id] != 0) continue;
-    engine.start(rank, km, f.id, *f.value);
-    engine.drain(live);
+  std::sort(left.begin(), left.end());
+  for (const auto& [km, rank, id] : left) {
+    RankSlots& g = ranks[rank];
+    if (g.visited[id] != 0) continue;
+    WalkRecord r = unitig::walk(g.slots.data(), g.visited.data(), km, id);
+    router.settle(rank, r, records);
+    router.drain(live, records);
   }
 
-  bio::ContigSet contigs;
-  const auto emit = [&](WalkRecord& r) {
-    if (r.seq.size() < min_len) return;
-    bio::Contig c;
-    c.id = contigs.size();
-    c.seq = std::move(r.seq);
-    c.depth = r.depth_sum / static_cast<double>(r.path_nodes);
-    contigs.push_back(std::move(c));
-  };
-  for (WalkRecord& r : pass1) emit(r);
-  for (WalkRecord& r : pass2) emit(r);
-
+  bio::ContigSet contigs = unitig::emit_contigs(records, min_len);
   if (stats != nullptr) {
     pipeline::DbgStats s;
     s.nodes = table.total_size();
-    for (const std::uint32_t rank : live) {
-      s.forks += graphs[rank].forks;
-      s.dead_ends += graphs[rank].dead_ends;
-    }
+    s.forks = forks.load();
+    s.dead_ends = dead_ends.load();
     s.contigs = contigs.size();
     *stats = s;
   }

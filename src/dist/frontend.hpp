@@ -16,8 +16,9 @@ class WarpExecutionEngine;
 /// remote operations batched through the MessageLayer. Every function here
 /// is driver-thread orchestration; the worker pool only ever runs
 /// rank-local work (chunk scans into the rank's shared concurrent count
-/// table, per-shard passes), and every message is sent in a fixed
-/// chunk and window order, so results are bit-identical to the 1-rank
+/// table, per-shard passes over a rank's nodes and walks from its heads),
+/// and every message is sent from the driver thread in an order fixed by
+/// the data, so results and traffic are bit-identical to the 1-rank
 /// oracle at every (ranks x threads) combination — the contract the
 /// tests/dist suite pins.
 namespace lassm::dist {
@@ -57,13 +58,19 @@ std::size_t filter_low_count_dist(DistKmerTable& table,
                                   core::WarpExecutionEngine* pool);
 
 /// Distributed de Bruijn contig generation, bit-identical to
-/// pipeline::generate_contigs on the merged table. Each rank classifies
-/// its owned nodes with batched remote degree probes (two find epochs:
-/// successor/predecessor presence, then the unique predecessor's
-/// out-degree for head detection), walks unitigs from its heads with
-/// cross-rank handoff via batched walk messages, and a final serial pass
-/// in global sorted order breaks the remaining pure cycles exactly where
-/// the oracle breaks them.
+/// pipeline::generate_contigs on the merged table and walked by the same
+/// step loop (pipeline/unitig_walk.hpp). Each rank classifies its owned
+/// nodes into a Slot array over its local table's dense ids from two
+/// batched find epochs: every node's 4 successors and 4 predecessors,
+/// then the unique predecessor's 4 successors for each node of in-degree
+/// 1. A successor owned by another rank points at the rank's sentinel
+/// slot, where the step loop stops; the driver then sends the walk to the
+/// successor's owner, which checks the arrival and continues the loop.
+/// Pass 1 walks every rank's heads on the pool and drains the handoffs in
+/// flush supersteps; pass 2 breaks the remaining pure cycles, serially in
+/// global k-mer order, exactly where the oracle breaks them. The messages
+/// sent depend only on the graph and the shard map: 2 per remote find
+/// plus 1 per node of out-degree 1 whose successor lives elsewhere.
 bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
                                      std::uint32_t min_len,
                                      pipeline::DbgStats* stats,

@@ -11,12 +11,14 @@
 /// Distributed (simulated multi-rank) end-to-end pipeline: the graph — not
 /// just the contig list — is partitioned. Each rank owns a contiguous
 /// range of the k-mer table's 64 hash shards (dist::ShardMap), counts and
-/// filters its shards locally with batched remote inserts, classifies and
-/// walks its de Bruijn nodes with batched remote degree probes and
-/// cross-rank walk handoffs (dist::frontend), and the per-round local
-/// assembly runs one simulated device per live rank through
-/// pipeline::run_multi_gpu_resilient. All communication is billed through
-/// one MessageLayer against the device's NetworkSpec.
+/// filters its shards locally with batched remote inserts, classifies its
+/// de Bruijn nodes into the single-rank walker's slot array from batched
+/// remote degree probes and walks them with that walker's step loop,
+/// handing a walk to the next node's owner where it crosses ranks
+/// (dist::frontend). The per-round local assembly runs one simulated
+/// device per live rank through pipeline::run_multi_gpu_resilient. All
+/// communication is billed through one MessageLayer against the device's
+/// NetworkSpec.
 ///
 /// Contract: every pipeline output (contigs, extensions, per-round stats,
 /// DBG stats) is bit-identical to pipeline::run_pipeline on one rank, for

@@ -127,13 +127,6 @@ ProfileReport profile(const simt::DeviceSpec& dev,
   return ncu_report(dev, run);
 }
 
-ProfileReport profile(const simt::DeviceSpec& dev,
-                      const core::AssemblyResult& result) {
-  trace::MetricsRegistry registry;
-  core::record_run_metrics(result, registry);
-  return profile(dev, registry.snapshot(), result.total_time_s);
-}
-
 void print_profile(std::ostream& os, const ProfileReport& report) {
   os << "-- " << report.tool << " :: " << report.kernel_name << " --\n";
   TextTable t({"counter", "value", "note"});

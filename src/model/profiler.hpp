@@ -34,16 +34,11 @@ struct ProfileReport {
 
 /// Builds the per-vendor counter report from a metrics snapshot recorded
 /// under the canonical trace::names dictionary (the registry the tracer
-/// carries, or one populated ad hoc by core::record_run_metrics). This is
-/// the primary entry point: the emulated vendor tools read the same
+/// carries, or one populated ad hoc from a finished run by
+/// core::record_run_metrics): the emulated vendor tools read the same
 /// registry the observability layer exports.
 ProfileReport profile(const simt::DeviceSpec& dev,
                       const trace::MetricsSnapshot& metrics, double time_s);
-
-/// Convenience wrapper: records `result`'s counters into a scratch registry
-/// (core::record_run_metrics) and profiles its snapshot.
-ProfileReport profile(const simt::DeviceSpec& dev,
-                      const core::AssemblyResult& result);
 
 /// Pretty-prints a report (one row per counter plus the derivations).
 void print_profile(std::ostream& os, const ProfileReport& report);

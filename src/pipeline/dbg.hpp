@@ -32,7 +32,10 @@ struct DbgStats {
 /// The node set IS the count map: one classification pass over its dense
 /// slots records each node's out-degree, edge code, successor slot and
 /// depth, and weighs each successor's in-edges (a forking predecessor
-/// counts twice), so walks never probe the table.
+/// counts twice), so walks never probe the table. The slot array and the
+/// walk loop are shared with dist::generate_contigs_dist
+/// (pipeline/unitig_walk.hpp), which fills the slots from batched remote
+/// probes instead.
 /// With a parallel `pool`, classification and the head walks run one task
 /// per shard (walks from heads never share a node) and only the few cycle
 /// walks stay serial; contigs, depths and stats are bit-identical at every

@@ -4,8 +4,10 @@
 // rank_msg_drop seam, DistKmerTable's batched insert/find protocols under
 // seeded randomized interleavings at 1/2/4 ranks, and the distributed
 // front-end (count / filter / contigs) vs the single-rank front-end at
-// 1 and 4 worker threads. The contract throughout: ranks, batching and
-// armed message-drop plans are cost knobs, never result knobs.
+// 1 and 4 worker threads, on shotgun reads and on hand-built graphs,
+// with the DBG's message count held to a probe model computed from the
+// rank tables alone. The contract throughout: ranks, batching and armed
+// message-drop plans are cost knobs, never result knobs.
 
 #include <gtest/gtest.h>
 
@@ -526,6 +528,196 @@ TEST(DistFrontend, ArmedDropPlanDoesNotChangeContigs) {
   ASSERT_EQ(lossy_contigs.size(), clean_contigs.size());
   for (std::size_t i = 0; i < clean_contigs.size(); ++i) {
     EXPECT_EQ(lossy_contigs[i].seq, clean_contigs[i].seq);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Distributed DBG: hand-built graphs and the traffic it sends
+
+/// The k-mers of `unit` read as a circle.
+std::string circular(const std::string& unit, std::uint32_t k) {
+  return unit + unit.substr(0, k - 1);
+}
+
+/// One graph built to hit a stopping rule of the unitig walk: the reads
+/// spelling it, and the low-count filter threshold applied after counting.
+struct DbgShape {
+  std::string name;
+  std::vector<std::string> seqs;
+  std::uint32_t min_count = 1;
+};
+
+std::vector<DbgShape> dbg_shapes(std::uint32_t k) {
+  // Branches that differ in their first and last base fork at one node
+  // and join at one node.
+  const std::string prefix = random_seq(41, 40);
+  const std::string suffix = random_seq(42, 40);
+  // Windows of s[0,70) and s[80,150) occur three times, the ones in between
+  // once; a substituted copy adds a once-seen branch at 30. Filtering at 3
+  // tombstones the once-seen k-mers and breaks the path at the gap.
+  const std::string s = random_seq(51, 150);
+  std::string mutated = s;
+  mutated[30] = mutated[30] == 'A' ? 'C' : 'A';
+  return {
+      {"poly-A self-loop", {std::string(40, 'A')}},
+      {"two disjoint cycles",
+       {circular(random_seq(21, 60), k), circular(random_seq(22, 80), k)}},
+      {"tail into cycle",
+       {random_seq(32, 30) + circular(random_seq(31, 70), k)}},
+      {"fork into joins",
+       {prefix + "A" + random_seq(43, 30) + "A" + suffix,
+        prefix + "C" + random_seq(44, 30) + "C" + suffix,
+        prefix + "G" + random_seq(45, 30) + "G" + suffix}},
+      {"paths broken by tombstones",
+       {s.substr(0, 70), s.substr(0, 70), s.substr(80), s.substr(80), s,
+        mutated},
+       3},
+      // Pure cycles long enough that every rank owns part of each: pass 2
+      // breaks them with walks that hand off all the way round.
+      {"cycles spanning ranks",
+       {circular(random_seq(71, 3000), k), circular(random_seq(72, 5000), k)}},
+  };
+}
+
+TEST(DistFrontend, DbgMatchesSingleRankOnHandBuiltGraphs) {
+  constexpr std::uint32_t kK = 21;
+  for (const DbgShape& shape : dbg_shapes(kK)) {
+    bio::ReadSet reads;
+    for (const std::string& seq : shape.seqs) reads.append(seq, 35);
+    pipeline::KmerCounts oracle = pipeline::count_kmers(reads, kK);
+    pipeline::filter_low_count(oracle, shape.min_count);
+    pipeline::DbgStats want_stats;
+    const bio::ContigSet want =
+        pipeline::generate_contigs(oracle, kK, 0, &want_stats);
+    ASSERT_FALSE(want.empty()) << shape.name;
+
+    for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(shape.name + " ranks=" + std::to_string(ranks) +
+                     " threads=" + std::to_string(threads));
+        const auto pool = make_pool(threads);
+        ShardMap map(ranks);
+        MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels,
+                         test_net());
+        DistKmerTable table(map, msg);
+        count_kmers_dist(table, reads, kK, ~std::uint64_t{0}, pool.get());
+        filter_low_count_dist(table, shape.min_count, pool.get());
+
+        pipeline::DbgStats stats;
+        const bio::ContigSet got =
+            generate_contigs_dist(table, kK, 0, &stats, pool.get());
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id);
+          EXPECT_EQ(got[i].seq, want[i].seq);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].depth),
+                    std::bit_cast<std::uint64_t>(want[i].depth));
+        }
+        EXPECT_EQ(stats.nodes, want_stats.nodes);
+        EXPECT_EQ(stats.forks, want_stats.forks);
+        EXPECT_EQ(stats.dead_ends, want_stats.dead_ends);
+        EXPECT_EQ(stats.contigs, want_stats.contigs);
+      }
+    }
+  }
+}
+
+/// Messages the distributed DBG must send, from the filtered tables alone.
+/// Each find is one request and one response; it is remote when the probed
+/// k-mer's owner is not the probing rank. Classification probes a node's 4
+/// successors and 4 predecessors, then the 4 successors of the unique
+/// predecessor of every node with in-degree 1. A walk hands off once per
+/// node with out-degree 1 whose successor lives on another rank.
+std::uint64_t dbg_msgs_model(const DistKmerTable& table) {
+  const ShardMap& map = table.map();
+  const auto owner = [&](const bio::PackedKmer& km) {
+    return map.rank_of_hash(km.hash64());
+  };
+  const auto present = [&](const bio::PackedKmer& km) {
+    const std::uint32_t* c = table.local(owner(km)).table().find(km);
+    return c != nullptr && *c != 0;
+  };
+  std::uint64_t finds = 0;
+  std::uint64_t handoffs = 0;
+  for (const std::uint32_t rank : map.live_ranks()) {
+    for (std::uint32_t s = 0; s < pipeline::KmerCounts::Table::kShards; ++s) {
+      table.local(rank).table().for_each_in_shard(s, [&](const auto& e) {
+        if (e.value == 0) return;
+        int in = 0;
+        int out = 0;
+        bio::PackedKmer pred;
+        bio::PackedKmer next;
+        for (int code = 0; code < bio::kNumBases; ++code) {
+          const bio::PackedKmer succ = e.key.successor(code);
+          const bio::PackedKmer prev = e.key.predecessor(code);
+          finds += (owner(succ) != rank) + (owner(prev) != rank);
+          if (present(succ)) {
+            ++out;
+            next = succ;
+          }
+          if (present(prev)) {
+            ++in;
+            pred = prev;
+          }
+        }
+        if (in == 1) {
+          for (int code = 0; code < bio::kNumBases; ++code) {
+            finds += owner(pred.successor(code)) != rank;
+          }
+        }
+        if (out == 1 && owner(next) != rank) ++handoffs;
+      });
+    }
+  }
+  return 2 * finds + handoffs;
+}
+
+TEST(DistFrontend, DbgTrafficMatchesProbeModel) {
+  constexpr std::uint32_t kK = 21;
+  constexpr std::size_t kReadLen = 120;
+  // A 60 kb genome with a 400 bp repeat (forks and joins), sampled at 10x
+  // with 0.5% substitutions: tips and bubbles throughout.
+  std::string genome = random_seq(81, 60000);
+  genome.replace(40000, 400, genome.substr(10000, 400));
+  bio::Xoshiro256 rng(82);
+  bio::ReadSet reads;
+  for (std::size_t r = 0; r < 10 * genome.size() / kReadLen; ++r) {
+    std::string read =
+        genome.substr(rng.below(genome.size() - kReadLen), kReadLen);
+    for (char& c : read) {
+      if (rng.below(200) == 0) {
+        c = bio::code_to_base(static_cast<int>(rng.below(4)));
+      }
+    }
+    reads.append(read, 35);
+  }
+
+  for (const std::uint32_t ranks : {2u, 4u, 8u}) {
+    std::vector<TrafficStats> dbg;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                   " threads=" + std::to_string(threads));
+      const auto pool = make_pool(threads);
+      ShardMap map(ranks);
+      MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels,
+                       test_net());
+      DistKmerTable table(map, msg);
+      count_kmers_dist(table, reads, kK, ~std::uint64_t{0}, pool.get());
+      filter_low_count_dist(table, 2, pool.get());
+      const std::uint64_t want_msgs = dbg_msgs_model(table);
+
+      const TrafficStats before = msg.traffic();
+      generate_contigs_dist(table, kK, 0, nullptr, pool.get());
+      dbg.push_back(msg.traffic().minus(before));
+      EXPECT_EQ(dbg.back().msgs, want_msgs);
+    }
+    SCOPED_TRACE("ranks=" + std::to_string(ranks) + ", 1 vs 4 threads");
+    EXPECT_EQ(dbg[0].msgs, dbg[1].msgs);
+    EXPECT_EQ(dbg[0].bytes, dbg[1].bytes);
+    EXPECT_EQ(dbg[0].batches, dbg[1].batches);
+    EXPECT_EQ(dbg[0].flushes, dbg[1].flushes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dbg[0].network_s),
+              std::bit_cast<std::uint64_t>(dbg[1].network_s));
   }
 }
 

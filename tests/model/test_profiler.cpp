@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "trace/metrics.hpp"
 #include "workload/dataset.hpp"
 
 namespace lassm::model {
@@ -17,10 +18,18 @@ core::AssemblyResult run_small(const simt::DeviceSpec& dev) {
   return core::LocalAssembler(dev).run(in);
 }
 
+/// The run's counters as the tracer would record them: what the emulated
+/// tools read.
+trace::MetricsSnapshot metrics_of(const core::AssemblyResult& r) {
+  trace::MetricsRegistry registry;
+  core::record_run_metrics(r, registry);
+  return registry.snapshot();
+}
+
 TEST(Profiler, NcuCountersMatchRunStats) {
   const auto dev = simt::DeviceSpec::a100();
   const auto r = run_small(dev);
-  const ProfileReport rep = profile(dev, r);
+  const ProfileReport rep = profile(dev, metrics_of(r), r.total_time_s);
   EXPECT_EQ(rep.tool, "ncu (emulated)");
   EXPECT_EQ(rep.kernel_name, "iterative_walks_kernel");
   EXPECT_DOUBLE_EQ(rep.derived_intops,
@@ -35,7 +44,7 @@ TEST(Profiler, NcuCountersMatchRunStats) {
 TEST(Profiler, RocprofFormulaReconstructsBytes) {
   const auto dev = simt::DeviceSpec::mi250x_gcd();
   const auto r = run_small(dev);
-  const ProfileReport rep = profile(dev, r);
+  const ProfileReport rep = profile(dev, metrics_of(r), r.total_time_s);
   EXPECT_EQ(rep.tool, "rocprof (emulated)");
   // The paper's byte formula applied to the request counters must give
   // back the run's HBM bytes.
@@ -50,7 +59,7 @@ TEST(Profiler, RocprofFormulaReconstructsBytes) {
 TEST(Profiler, AdvisorReport) {
   const auto dev = simt::DeviceSpec::max1550_tile();
   const auto r = run_small(dev);
-  const ProfileReport rep = profile(dev, r);
+  const ProfileReport rep = profile(dev, metrics_of(r), r.total_time_s);
   EXPECT_EQ(rep.tool, "advisor (emulated)");
   EXPECT_DOUBLE_EQ(rep.derived_time_s, r.total_time_s);
 }
@@ -59,7 +68,7 @@ TEST(Profiler, PrintedReportContainsCounters) {
   const auto dev = simt::DeviceSpec::a100();
   const auto r = run_small(dev);
   std::ostringstream os;
-  print_profile(os, profile(dev, r));
+  print_profile(os, profile(dev, metrics_of(r), r.total_time_s));
   EXPECT_NE(os.str().find("smsp__inst_executed.sum"), std::string::npos);
   EXPECT_NE(os.str().find("derived INTOPs"), std::string::npos);
 }

@@ -19,7 +19,6 @@
 
 #include "core/assembler.hpp"
 #include "core/exec.hpp"
-#include "model/profiler.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -504,17 +503,6 @@ TEST(TraceDeterminism, MetricsMatchRunCounters) {
   EXPECT_EQ(m.value(names::kLaunchWarps), r.stats.num_warps);
   EXPECT_EQ(m.histograms.at(names::kHistWarpCycles).count,
             r.stats.warp_cycles.size());
-
-  // The profiler emulation derives from the same snapshot.
-  const model::ProfileReport from_result =
-      model::profile(simt::DeviceSpec::a100(), r);
-  const model::ProfileReport from_snapshot =
-      model::profile(simt::DeviceSpec::a100(), m, r.total_time_s);
-  EXPECT_DOUBLE_EQ(from_result.derived_intops, from_snapshot.derived_intops);
-  EXPECT_DOUBLE_EQ(from_result.derived_hbm_bytes,
-                   from_snapshot.derived_hbm_bytes);
-  EXPECT_DOUBLE_EQ(from_result.derived_time_s,
-                   from_snapshot.derived_time_s);
 }
 
 // ---------------------------------------------------------------------------
