@@ -22,7 +22,8 @@
 # byte-for-byte, show tuned <= default everywhere and hold the recorded
 # speedup floors, and both artifacts must parse; then one short perfbench
 # run per BENCHMARK.json workload must reproduce its recorded output
-# digest (perfbench/golden.txt) with no failed operation.
+# digest (perfbench/golden.txt) with no failed operation, and a
+# reads_4rank run at unrecorded seed 2 must match its own 1-thread pass.
 # Any race, sanitizer report, test failure, malformed JSON, autotune
 # mismatch or golden-digest change fails the script. Host wall-clock
 # performance is measured by perfbench/ (python3 perfbench/run.py), not
@@ -235,17 +236,25 @@ echo "check.sh: autotune gate clean."
 # batches, drops, retransmits, flushes, network seconds), so a change in
 # what the ranks send fails here, not only in a manual benchmark run.
 PERF_BUILD="${BUILD}-perfbench"
+perfbench_gate() {  # workload seed
+  LAST=$(CARGO_TARGET_DIR="$PERF_BUILD" \
+    python3 perfbench/run.py --workload "$1" --seed "$2" --seconds 1 | tail -n 1)
+  python3 - "$1" "$2" "$LAST" <<'EOF'
+import json, sys
+name, seed, r = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(f"check.sh: FAIL - perfbench {name} seed {seed}: correct={r.get('correct')} failed={r.get('failed')}")
+print(f"check.sh: perfbench {name} seed {seed} is correct ({r['attempted']} runs, 0 failed).")
+EOF
+}
 WORKLOADS=$(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 for W in $WORKLOADS; do
-  LAST=$(CARGO_TARGET_DIR="$PERF_BUILD" \
-    python3 perfbench/run.py --workload "$W" --seed 1 --seconds 1 | tail -n 1)
-  python3 - "$W" "$LAST" <<'EOF'
-import json, sys
-name, r = sys.argv[1], json.loads(sys.argv[2])
-if r.get("correct") is not True or r.get("failed") != 0:
-    sys.exit(f"check.sh: FAIL - perfbench {name}: correct={r.get('correct')} failed={r.get('failed')}")
-print(f"check.sh: perfbench {name} matches its golden digest ({r['attempted']} runs, 0 failed).")
-EOF
+  perfbench_gate "$W" 1
 done
+# Seed 2 has no recorded digest, so perfbench holds every reads_4rank job,
+# its traffic digest included, to a 1-thread pass of the same input: the
+# dist layer's pooled paths must stay thread-count invariant beyond the
+# golden seed.
+perfbench_gate reads_4rank 2
 echo "check.sh: perfbench golden gate clean."

@@ -1,18 +1,29 @@
 #include "dist/dist_table.hpp"
 
+#include <cassert>
+#include <numeric>
+
+#include "pipeline/parallel.hpp"
+
 namespace lassm::dist {
 
-DistKmerTable::DistKmerTable(const ShardMap& map, MessageLayer& msg)
-    : map_(&map),
-      msg_(&msg),
-      tables_(map.n_ranks()),
-      pending_(map.n_ranks()) {}
+namespace {
 
-std::uint32_t DistKmerTable::lookup(std::uint32_t rank,
-                                    const bio::PackedKmer& km) const {
-  const std::uint32_t* c = tables_[rank].table().find(km);
-  return c != nullptr ? *c : 0;
-}
+constexpr std::size_t kShards = ShardMap::kShards;
+
+/// The remote part of one (rank, shard) request list, grouped by owner:
+/// the k-mers sent to owner d are kmers[begin[d], begin[d + 1]) in list
+/// order, and pos[j] is the list index kmers[j]'s answer goes to.
+struct RoutedList {
+  std::vector<bio::PackedKmer> kmers;
+  std::vector<std::uint32_t> pos;
+  std::vector<std::uint32_t> begin;  ///< n_ranks + 1 offsets
+};
+
+}  // namespace
+
+DistKmerTable::DistKmerTable(const ShardMap& map, MessageLayer& msg)
+    : map_(&map), msg_(&msg), tables_(map.n_ranks()) {}
 
 void DistKmerTable::add(std::uint32_t rank, const bio::PackedKmer& km,
                         std::uint32_t n) {
@@ -27,6 +38,11 @@ void DistKmerTable::add(std::uint32_t rank, const bio::PackedKmer& km,
   }
 }
 
+void DistKmerTable::send_inserts(std::uint32_t src, std::uint32_t owner,
+                                 const std::vector<InsertMsg>& msgs) {
+  msg_->send_array(src, owner, kInsertChannel, msgs.data(), msgs.size());
+}
+
 void DistKmerTable::drain_inserts(std::uint32_t rank) {
   msg_->for_each<InsertMsg>(
       rank, kInsertChannel, [&](std::uint32_t, const InsertMsg& m) {
@@ -34,50 +50,106 @@ void DistKmerTable::drain_inserts(std::uint32_t rank) {
       });
 }
 
-void DistKmerTable::find_enqueue(std::uint32_t rank,
-                                 const bio::PackedKmer& km) {
-  const std::uint32_t owner = map_->rank_of_hash(km.hash64());
-  pending_[rank].dst_seq.push_back(owner);
-  if (owner == rank) {
-    pending_[rank].self_vals.push_back(lookup(rank, km));
-  } else {
-    msg_->send(rank, owner, kFindReqChannel, FindReq{km});
-  }
-}
+DistKmerTable::RankShardLists<std::uint32_t> DistKmerTable::find_batch(
+    RankShardLists<bio::PackedKmer> requests,
+    core::WarpExecutionEngine* pool) {
+  assert(msg_->pending() == 0);
+  const std::uint32_t n_ranks = map_->n_ranks();
+  const std::vector<std::uint32_t> live = map_->live_ranks();
+  const std::size_t n_live = live.size();
+  RankShardLists<std::uint32_t> answers(n_ranks);
+  std::vector<std::array<RoutedList, kShards>> routed(n_ranks);
 
-void DistKmerTable::serve_finds(std::uint32_t rank) {
-  msg_->for_each<FindReq>(
-      rank, kFindReqChannel, [&](std::uint32_t src, const FindReq& req) {
-        msg_->send(rank, src, kFindRespChannel,
-                   FindResp{lookup(rank, req.km)});
-      });
-}
+  // Route, one task per (rank, shard): locally owned k-mers are answered
+  // on the spot (one hash for owner and probe), the rest grouped by owner.
+  pipeline::stage_for(pool, n_live * kShards, [&](std::size_t t, unsigned) {
+    const std::uint32_t rank = live[t / kShards];
+    std::vector<bio::PackedKmer>& req = requests[rank][t % kShards];
+    std::vector<std::uint32_t>& ans = answers[rank][t % kShards];
+    RoutedList& out = routed[rank][t % kShards];
+    const pipeline::KmerCounts::Table& own = tables_[rank].table();
+    ans.assign(req.size(), 0);
+    out.begin.assign(n_ranks + 1, 0);
+    std::vector<std::uint32_t> owner(req.size());
+    for (std::size_t i = 0; i < req.size(); ++i) {
+      const std::uint64_t h = req[i].hash64();
+      owner[i] = map_->rank_of_hash(h);
+      if (owner[i] == rank) {
+        const std::uint32_t* c = own.find_hashed(req[i], h);
+        ans[i] = c != nullptr ? *c : 0;
+      } else {
+        ++out.begin[owner[i] + 1];
+      }
+    }
+    std::partial_sum(out.begin.begin(), out.begin.end(), out.begin.begin());
+    out.kmers.resize(out.begin[n_ranks]);
+    out.pos.resize(out.begin[n_ranks]);
+    std::vector<std::uint32_t> next(out.begin.begin(), out.begin.end() - 1);
+    for (std::size_t i = 0; i < req.size(); ++i) {
+      if (owner[i] == rank) continue;
+      const std::uint32_t j = next[owner[i]]++;
+      out.kmers[j] = req[i];
+      out.pos[j] = static_cast<std::uint32_t>(i);
+    }
+    std::vector<bio::PackedKmer>().swap(req);
+  });
 
-std::vector<std::uint32_t> DistKmerTable::collect_finds(std::uint32_t rank) {
-  // Responses arrive grouped per owner (ascending src, request order);
-  // reassemble them into the original interleaved request order via one
-  // cursor per owner.
-  std::vector<std::vector<std::uint32_t>> per_src(map_->n_ranks());
-  msg_->for_each<FindResp>(
-      rank, kFindRespChannel, [&](std::uint32_t src, const FindResp& r) {
-        per_src[src].push_back(r.count);
-      });
-
-  PendingFinds& pend = pending_[rank];
-  std::vector<std::uint32_t> out;
-  out.reserve(pend.dst_seq.size());
-  std::vector<std::size_t> cursor(map_->n_ranks(), 0);
-  std::size_t self_cursor = 0;
-  for (const std::uint32_t dst : pend.dst_seq) {
-    if (dst == rank) {
-      out.push_back(pend.self_vals[self_cursor++]);
-    } else {
-      out.push_back(per_src[dst][cursor[dst]++]);
+  // Epoch 1: every link's requests, shard order then list order.
+  for (const std::uint32_t rank : live) {
+    for (RoutedList& out : routed[rank]) {
+      for (const std::uint32_t dst : live) {
+        const std::uint32_t n = out.begin[dst + 1] - out.begin[dst];
+        if (n != 0) {
+          msg_->send_array(rank, dst, kFindReqChannel,
+                           out.kmers.data() + out.begin[dst], n);
+        }
+      }
+      std::vector<bio::PackedKmer>().swap(out.kmers);
     }
   }
-  pend.dst_seq.clear();
-  pend.self_vals.clear();
-  return out;
+  msg_->flush();
+
+  // Owners answer each delivered link on the pool, in request order.
+  std::vector<std::vector<std::uint32_t>> served(n_live * n_live);
+  pipeline::stage_for(pool, n_live * n_live, [&](std::size_t t, unsigned) {
+    const std::uint32_t owner = live[t / n_live];
+    const std::uint32_t src = live[t % n_live];
+    const pipeline::KmerCounts::Table& own = tables_[owner].table();
+    msg_->for_each_from<bio::PackedKmer>(
+        src, owner, kFindReqChannel, [&](const bio::PackedKmer& km) {
+          const std::uint32_t* c = own.find(km);
+          served[t].push_back(c != nullptr ? *c : 0);
+        });
+  });
+
+  // Epoch 2: the answers, per link in request order.
+  for (std::size_t t = 0; t < served.size(); ++t) {
+    if (!served[t].empty()) {
+      msg_->send_array(live[t / n_live], live[t % n_live], kFindRespChannel,
+                       served[t].data(), served[t].size());
+    }
+    std::vector<std::uint32_t>().swap(served[t]);
+  }
+  msg_->flush();
+
+  // Scatter each link's answers back, one task per (rank, owner) link:
+  // its answers walk the lists' owner groups in shard order.
+  pipeline::stage_for(pool, n_live * n_live, [&](std::size_t t, unsigned) {
+    const std::uint32_t rank = live[t / n_live];
+    const std::uint32_t owner = live[t % n_live];
+    std::array<RoutedList, kShards>& lists = routed[rank];
+    std::size_t shard = 0;
+    std::uint32_t j = lists[0].begin[owner];
+    msg_->for_each_from<std::uint32_t>(
+        owner, rank, kFindRespChannel, [&](std::uint32_t count) {
+          while (j == lists[shard].begin[owner + 1]) {
+            ++shard;
+            j = lists[shard].begin[owner];
+          }
+          answers[rank][shard][lists[shard].pos[j++]] = count;
+        });
+  });
+  return answers;
 }
 
 std::uint64_t DistKmerTable::total_size() const {

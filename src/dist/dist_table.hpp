@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -8,28 +9,33 @@
 #include "dist/partition.hpp"
 #include "pipeline/kmer_analysis.hpp"
 
+namespace lassm::core {
+class WarpExecutionEngine;
+}
+
 /// Rank-sharded k-mer count table: one pipeline::KmerCounts per rank,
 /// holding exactly the FlatKmerTable shards the ShardMap assigns to it,
 /// with owner-computes remote operations batched through the
 /// MessageLayer (the hash_map.hpp insert/find split of the CS267
 /// distributed k-mer table, batched HipMer-style).
 ///
-/// Protocols (all driver-thread; epochs are MessageLayer flushes):
+/// Protocols (epochs are MessageLayer flushes). Enqueueing and flushing
+/// stay on the driver thread; pool tasks only read a delivered inbox and
+/// the tables, each task writing its own rank's or request list's state:
 ///  - insert: add() applies locally when the caller owns the k-mer and
-///    enqueues an InsertMsg otherwise; after a flush, every rank
-///    drain_inserts() — applying remote increments in (ascending src,
-///    send order), a deterministic schedule, so table contents are a pure
-///    function of the logical insert sequence. Slot layout is not: a
-///    rank's own windows are counted through a concurrent table whose
-///    layout depends on the thread interleaving, and nothing downstream
-///    depends on it.
-///  - find: find_enqueue() records the request order and either answers
-///    locally (owner == requester, no traffic) or enqueues a FindReq;
-///    after a flush, owners serve_finds() (FindResp per request, in
-///    request order per link); after a second flush, collect_finds()
-///    reassembles the counts in the exact order the requests were made.
-///    Within an epoch, inserts are drained before finds are served, so a
-///    mixed epoch reads its own writes.
+///    enqueues an InsertMsg otherwise, and send_inserts() enqueues a batch
+///    of them on one link; after a flush, every rank drain_inserts() —
+///    applying remote increments in (ascending src, send order), a
+///    deterministic schedule, so table contents are a pure function of
+///    the logical insert sequence. Slot layout is not: a rank's own
+///    windows are counted through a concurrent table whose layout depends
+///    on the thread interleaving, and nothing downstream depends on it.
+///  - find: find_batch() answers per-rank, per-shard request lists in two
+///    epochs of its own. Requests are routed on the pool (locally owned
+///    k-mers answered on the spot), the driver enqueues each link's remote
+///    requests in (shard, list) order, owners answer their inboxes on the
+///    pool, the driver enqueues the answers, and the pool scatters them
+///    back into the lists' shape.
 namespace lassm::dist {
 
 class DistKmerTable {
@@ -46,6 +52,18 @@ class DistKmerTable {
     kNumChannels = 4,
   };
 
+  /// One remote increment on the insert channel.
+  struct InsertMsg {
+    bio::PackedKmer km;
+    std::uint32_t n;
+  };
+
+  /// Lists indexed [rank][shard]; the shard is the caller's grouping key
+  /// (e.g. the shard of the node a request is made for).
+  template <class T>
+  using RankShardLists =
+      std::vector<std::array<std::vector<T>, ShardMap::kShards>>;
+
   DistKmerTable(const ShardMap& map, MessageLayer& msg);
 
   const ShardMap& map() const noexcept { return *map_; }
@@ -60,45 +78,31 @@ class DistKmerTable {
   void add(std::uint32_t rank, const bio::PackedKmer& km,
            std::uint32_t n = 1);
 
+  /// Rank `src` enqueues remote increments for `owner`, which owns every
+  /// k-mer in `msgs` (delivered at the next flush, in array order).
+  void send_inserts(std::uint32_t src, std::uint32_t owner,
+                    const std::vector<InsertMsg>& msgs);
+
   /// Applies the rank's queued remote inserts from the current inbox.
   void drain_inserts(std::uint32_t rank);
 
-  /// Rank `rank` asks for km's count (0 when absent/filtered). Answered
-  /// by collect_finds() after the serve round-trip.
-  void find_enqueue(std::uint32_t rank, const bio::PackedKmer& km);
-
-  /// Owner side: answers every FindReq in the rank's current inbox.
-  void serve_finds(std::uint32_t rank);
-
-  /// Requester side: counts in find_enqueue() order. Clears the rank's
-  /// pending request state.
-  std::vector<std::uint32_t> collect_finds(std::uint32_t rank);
+  /// Batched find: answers[rank][shard][i] is the count of
+  /// requests[rank][shard][i] (0 when absent or filtered). Lists of dead
+  /// ranks must be empty. Runs two flush epochs — requests, then answers —
+  /// which must start with nothing queued. Each link carries its remote
+  /// requests in shard order, then list order: the traffic of one serial
+  /// pass over the lists, at every thread count.
+  RankShardLists<std::uint32_t> find_batch(
+      RankShardLists<bio::PackedKmer> requests,
+      core::WarpExecutionEngine* pool);
 
   /// Live entries across all ranks (ascending rank order).
   std::uint64_t total_size() const;
 
  private:
-  struct InsertMsg {
-    bio::PackedKmer km;
-    std::uint32_t n;
-  };
-  struct FindReq {
-    bio::PackedKmer km;
-  };
-  struct FindResp {
-    std::uint32_t count;
-  };
-  struct PendingFinds {
-    std::vector<std::uint32_t> dst_seq;     ///< owner per request, in order
-    std::vector<std::uint32_t> self_vals;   ///< answers for dst == self
-  };
-
-  std::uint32_t lookup(std::uint32_t rank, const bio::PackedKmer& km) const;
-
   const ShardMap* map_;
   MessageLayer* msg_;
   std::vector<pipeline::KmerCounts> tables_;
-  std::vector<PendingFinds> pending_;
 };
 
 }  // namespace lassm::dist

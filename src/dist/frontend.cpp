@@ -1,11 +1,9 @@
 #include "dist/frontend.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
-#include <cstring>
-#include <numeric>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -38,17 +36,20 @@ std::uint64_t owned_mask_of(const ShardMap& map, std::uint32_t rank) {
   return m;
 }
 
+using InsertMsg = DistKmerTable::InsertMsg;
+
 /// pipeline::insert_read_kmers sink for one chunk of a rank's read block:
 /// windows of the rank's own masked shards go into its shared concurrent
 /// table, windows of other ranks' masked shards onto the chunk's send
-/// list in window order, and unmasked windows are only counted. Shards
-/// outside `local_mask` stay empty in the table, so prefetching their
-/// slots is a no-op.
+/// list for their owner in window order, and unmasked windows are only
+/// counted. Shards outside `local_mask` stay empty in the table, so
+/// prefetching their slots is a no-op.
 struct RankChunkSink {
   pipeline::ConcurrentKmerCountTable::WriterScope writer;
+  const ShardMap& map;
   std::uint64_t shard_mask;
   std::uint64_t local_mask;
-  std::vector<bio::PackedKmer>& remote;
+  std::vector<std::vector<InsertMsg>>& remote;  ///< per owner rank
   std::uint64_t windows = 0;  ///< every window scanned
   std::uint64_t masked = 0;   ///< windows of masked shards
 
@@ -62,7 +63,7 @@ struct RankChunkSink {
     if (local_mask >> shard & 1) {
       writer.add_hashed(km, h);
     } else {
-      remote.push_back(km);
+      remote[map.owner_of_shard(shard)].push_back(InsertMsg{km, 1});
     }
   }
 };
@@ -89,18 +90,20 @@ CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
     // Chunked block scan: the rank's own windows into one shared
     // concurrent table, reserved and exported for its masked shards only
     // (the rest of its local table — e.g. shards kept through a recount —
-    // is left untouched); remote windows into per-chunk send lists.
+    // is left untouched); remote windows into per-chunk, per-owner send
+    // lists.
     const std::uint64_t local_mask = shard_mask & owned;
     pipeline::ConcurrentKmerCountTable counts;
     counts.reserve(pipeline::distinct_estimate(rank_windows), local_mask);
     const pipeline::ChunkPlan plan(n_block, pool);
-    std::vector<std::vector<bio::PackedKmer>> remote(plan.n_chunks);
+    std::vector<std::vector<std::vector<InsertMsg>>> remote(
+        plan.n_chunks, std::vector<std::vector<InsertMsg>>(map.n_ranks()));
     std::vector<std::uint64_t> windows_all(plan.n_chunks, 0);
     std::vector<std::uint64_t> windows_masked(plan.n_chunks, 0);
     pipeline::stage_for(pool, plan.n_chunks, [&](std::size_t chunk, unsigned) {
       RankChunkSink sink{
-          pipeline::ConcurrentKmerCountTable::WriterScope(counts), shard_mask,
-          local_mask, remote[chunk]};
+          pipeline::ConcurrentKmerCountTable::WriterScope(counts), map,
+          shard_mask, local_mask, remote[chunk]};
       pipeline::insert_read_kmers(sink, reads, block.begin + plan.begin(chunk),
                                   block.begin + plan.end(chunk), k,
                                   /*canonical=*/false);
@@ -117,8 +120,11 @@ CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
     for (std::size_t chunk = 0; chunk < plan.n_chunks; ++chunk) {
       stats.windows += windows_all[chunk];
       masked += windows_masked[chunk];
-      for (const bio::PackedKmer& km : remote[chunk]) table.add(rank, km);
-      stats.remote_msgs += remote[chunk].size();
+      for (std::uint32_t owner = 0; owner < map.n_ranks(); ++owner) {
+        table.send_inserts(rank, owner, remote[chunk][owner]);
+        stats.remote_msgs += remote[chunk][owner].size();
+      }
+      remote[chunk] = {};
     }
 
     // Expected remote fraction of this rank's masked windows: uniform
@@ -132,11 +138,14 @@ CountStats count_kmers_dist(DistKmerTable& table, const bio::ReadSet& reads,
     }
   }
 
-  // One flush epoch delivers every rank's remote inserts; owners drain in
-  // ascending rank order (each inbox is itself ascending-src, send order).
+  // One flush epoch delivers every rank's remote inserts; each owner
+  // drains its inbox (ascending src, send order) into its own table, one
+  // pool task per rank.
   table.msg().flush();
-  for (const std::uint32_t rank : live) table.drain_inserts(rank);
-  for (const std::uint32_t rank : live) table.local(rank).rebuild_size();
+  pipeline::stage_for(pool, live.size(), [&](std::size_t li, unsigned) {
+    table.drain_inserts(live[li]);
+    table.local(live[li]).rebuild_size();
+  });
   return stats;
 }
 
@@ -154,6 +163,7 @@ namespace {
 
 using unitig::Slot;
 using unitig::WalkRecord;
+using FindRequests = DistKmerTable::RankShardLists<bio::PackedKmer>;
 
 /// A rank's classified share of the graph: one Slot per dense id of its
 /// local table, then the sentinel that every remote successor points to.
@@ -169,8 +179,21 @@ struct RankSlots {
   }
 };
 
-/// A walk crossing ranks travels as this header plus its sequence so far
-/// on the walk channel.
+/// Runs f(rank, shard) for every live rank and table shard, one pool task
+/// each.
+template <class F>
+void for_each_rank_shard(core::WarpExecutionEngine* pool,
+                         const std::vector<std::uint32_t>& live, F&& f) {
+  pipeline::stage_for(pool, live.size() * Table::kShards,
+                      [&](std::size_t t, unsigned) {
+                        f(live[t / Table::kShards],
+                          static_cast<std::uint32_t>(t % Table::kShards));
+                      });
+}
+
+/// The frame of a walk crossing ranks on the walk channel. The walk's
+/// sequence so far is billed alongside as seq_len bulk bytes, as if it
+/// followed the header; the record itself waits in the router.
 struct WalkHeader {
   bio::PackedKmer head;
   bio::PackedKmer next;        ///< candidate node on the receiving rank
@@ -182,11 +205,16 @@ struct WalkHeader {
 
 /// Routes walks between ranks: a walk whose local run stopped at the
 /// sentinel goes to the successor's owner, which checks the arrival and
-/// continues the shared step loop; every other walk is finished.
+/// continues the shared step loop; every other walk is finished. A
+/// handed-off record moves into its link's FIFO, which delivers in send
+/// order like the link's frames.
 class WalkRouter {
  public:
   WalkRouter(DistKmerTable& table, std::vector<RankSlots>& ranks)
-      : table_(table), ranks_(ranks) {}
+      : table_(table),
+        ranks_(ranks),
+        in_flight_(static_cast<std::size_t>(table.map().n_ranks()) *
+                   table.map().n_ranks()) {}
 
   /// Finishes `r` into `out`, or hands it off when its last node's only
   /// successor lives on another rank.
@@ -209,13 +237,11 @@ class WalkRouter {
     hdr.path_nodes = r.path_nodes;
     hdr.base_code = s.out_code;
     hdr.seq_len = static_cast<std::uint32_t>(r.seq.size());
-    scratch_.resize(sizeof(hdr) + r.seq.size());
-    std::memcpy(scratch_.data(), &hdr, sizeof(hdr));
-    std::memcpy(scratch_.data() + sizeof(hdr), r.seq.data(), r.seq.size());
     const std::uint32_t owner = table_.map().rank_of_hash(hdr.next.hash64());
-    table_.msg().send_bytes(rank, owner, Channel::kWalkChannel,
-                            scratch_.data(),
-                            static_cast<std::uint32_t>(scratch_.size()));
+    MessageLayer& msg = table_.msg();
+    msg.send(rank, owner, Channel::kWalkChannel, hdr);
+    msg.bill_bulk(rank, owner, 0, hdr.seq_len);
+    in_flight_[link(rank, owner)].push_back(std::move(r));
   }
 
   /// Runs flush/receive supersteps until no walk message is in flight.
@@ -225,24 +251,28 @@ class WalkRouter {
     while (msg.pending() > 0) {
       msg.flush();
       for (const std::uint32_t rank : live) {
-        msg.for_each_bytes(rank, Channel::kWalkChannel,
-                           [&](std::uint32_t, const char* p, std::uint32_t) {
-                             receive(rank, p, out);
-                           });
+        msg.for_each<WalkHeader>(
+            rank, Channel::kWalkChannel,
+            [&](std::uint32_t src, const WalkHeader& hdr) {
+              receive(src, rank, hdr, out);
+            });
       }
     }
   }
 
  private:
+  std::size_t link(std::uint32_t src, std::uint32_t dst) const noexcept {
+    return static_cast<std::size_t>(src) * table_.map().n_ranks() + dst;
+  }
+
   /// Receiving side of a handoff: the arrival is one step of the shared
   /// loop (the sender could not read the join and visited checks), then
   /// the loop continues locally.
-  void receive(std::uint32_t rank, const char* p,
+  void receive(std::uint32_t src, std::uint32_t rank, const WalkHeader& hdr,
                std::vector<WalkRecord>& out) {
-    WalkHeader hdr;
-    std::memcpy(&hdr, p, sizeof(hdr));
-    WalkRecord r{hdr.head, std::string(p + sizeof(hdr), hdr.seq_len),
-                 hdr.depth_sum, hdr.path_nodes, 0};
+    std::deque<WalkRecord>& fifo = in_flight_[link(src, rank)];
+    WalkRecord r = std::move(fifo.front());
+    fifo.pop_front();
     RankSlots& g = ranks_[rank];
     const auto id = static_cast<std::uint32_t>(
         table_.local(rank).table().dense_find(hdr.next, g.offsets).id);
@@ -257,7 +287,7 @@ class WalkRouter {
 
   DistKmerTable& table_;
   std::vector<RankSlots>& ranks_;
-  std::vector<char> scratch_;
+  std::vector<std::deque<WalkRecord>> in_flight_;  ///< per (src, dst) link
 };
 
 }  // namespace
@@ -269,129 +299,111 @@ bio::ContigSet generate_contigs_dist(DistKmerTable& table, std::uint32_t k,
   (void)k;  // implied by the packed keys, as in generate_contigs
   const ShardMap& map = table.map();
   const std::vector<std::uint32_t> live = map.live_ranks();
-  MessageLayer& msg = table.msg();
   const auto local_table = [&](std::uint32_t rank) -> const Table& {
     return table.local(rank).table();
   };
-  // Find answers come back in request order. Requests are made by a
-  // serial pass over a rank's nodes in dense order, so a pool pass over
-  // the same nodes takes each node's answers from a per-shard cursor
-  // started at the shard's first request.
-  using Cursors = std::array<std::size_t, Table::kShards>;
-  const auto first_requests = [](Cursors& per_shard) {
-    std::exclusive_scan(per_shard.begin(), per_shard.end(), per_shard.begin(),
-                        std::size_t{0});
-  };
 
   std::vector<RankSlots> ranks(map.n_ranks());
-  std::vector<Cursors> cursor(map.n_ranks());
-
-  // Classification epoch A: every rank probes, for each owned node, its
-  // four successors then its four predecessors (one batched find round
-  // trip for all nodes of all ranks at once).
   for (const std::uint32_t rank : live) {
     RankSlots& g = ranks[rank];
     g.offsets =
         unitig::slot_offsets(local_table(rank), "generate_contigs_dist");
     g.slots.assign(g.offsets.back() + 1, Slot{});
     g.visited.assign(g.offsets.back() + 1, 0);
-    unitig::for_each_node(local_table(rank), g.offsets, nullptr,
-                          [&](std::size_t shard, std::uint32_t,
-                              const auto& e) {
-      for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, e.key.successor(code));
-      }
-      for (int code = 0; code < bio::kNumBases; ++code) {
-        table.find_enqueue(rank, e.key.predecessor(code));
-      }
-      ++cursor[rank][shard];
-    });
-    first_requests(cursor[rank]);
   }
-  msg.flush();
-  for (const std::uint32_t rank : live) table.serve_finds(rank);
-  msg.flush();
+
+  // Classification find A: every owned node's four successors, then its
+  // four predecessors, listed per (rank, shard) in dense order.
+  FindRequests probes(map.n_ranks());
+  for_each_rank_shard(pool, live, [&](std::uint32_t rank,
+                                      std::uint32_t shard) {
+    std::vector<bio::PackedKmer>& req = probes[rank][shard];
+    unitig::for_each_node_in_shard(
+        local_table(rank), ranks[rank].offsets, shard,
+        [&](std::uint32_t, const Table::Entry& e) {
+          for (int code = 0; code < bio::kNumBases; ++code) {
+            req.push_back(e.key.successor(code));
+          }
+          for (int code = 0; code < bio::kNumBases; ++code) {
+            req.push_back(e.key.predecessor(code));
+          }
+        });
+  });
+  DistKmerTable::RankShardLists<std::uint32_t> found =
+      table.find_batch(std::move(probes), pool);
 
   // Each node's own slot: depth, out-degree, the last present edge code
   // and, when the only successor is owned here, its dense id (else the
-  // sentinel). in_weight holds the in-degree until epoch B.
+  // sentinel). in_weight holds the in-degree until find B, which lists
+  // the unique predecessor's four successors for each node of in-degree 1.
   std::atomic<std::uint64_t> forks{0};
   std::atomic<std::uint64_t> dead_ends{0};
-  std::vector<std::vector<std::uint32_t>> found(map.n_ranks());
-  for (const std::uint32_t rank : live) {
+  FindRequests pred_probes(map.n_ranks());
+  for_each_rank_shard(pool, live, [&](std::uint32_t rank,
+                                      std::uint32_t shard) {
     RankSlots& g = ranks[rank];
-    found[rank] = table.collect_finds(rank);
-    unitig::for_each_node(local_table(rank), g.offsets, pool,
-                          [&](std::size_t shard, std::uint32_t id,
-                              const auto& e) {
-      const std::uint32_t* v = &found[rank][8 * cursor[rank][shard]++];
-      int out = 0;
-      int in = 0;
-      Slot& s = g.slots[id];
-      for (int code = 0; code < bio::kNumBases; ++code) {
-        if (v[code] != 0) {
-          ++out;
-          s.out_code = static_cast<std::uint8_t>(code);
-        }
-        if (v[4 + code] != 0) ++in;
-      }
-      s.count = e.value;
-      s.out_deg = static_cast<std::uint8_t>(out);
-      s.in_weight = static_cast<std::uint8_t>(in);
-      s.next_id = g.sentinel();
-      if (out == 1) {
-        const bio::PackedKmer next = e.key.successor(s.out_code);
-        if (map.rank_of_hash(next.hash64()) == rank) {
-          s.next_id = static_cast<std::uint32_t>(
-              local_table(rank).dense_find(next, g.offsets).id);
-        }
-      }
-      if (out == 0) dead_ends.fetch_add(1, std::memory_order_relaxed);
-      if (out > 1) forks.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-
-  // Classification epoch B: nodes with in-degree exactly 1 probe their
-  // unique predecessor's four successors.
-  for (const std::uint32_t rank : live) {
-    RankSlots& g = ranks[rank];
-    cursor[rank].fill(0);
-    std::size_t i = 0;
-    unitig::for_each_node(local_table(rank), g.offsets, nullptr,
-                          [&](std::size_t shard, std::uint32_t id,
-                              const auto& e) {
-      const std::uint32_t* v = &found[rank][8 * i++];
-      if (g.slots[id].in_weight != 1) return;
-      int code = 0;
-      while (v[4 + code] == 0) ++code;
-      const bio::PackedKmer pred = e.key.predecessor(code);
-      for (int c = 0; c < bio::kNumBases; ++c) {
-        table.find_enqueue(rank, pred.successor(c));
-      }
-      ++cursor[rank][shard];
-    });
-    first_requests(cursor[rank]);
-    found[rank] = {};
-  }
-  msg.flush();
-  for (const std::uint32_t rank : live) table.serve_finds(rank);
-  msg.flush();
+    const std::uint32_t* v = found[rank][shard].data();
+    std::vector<bio::PackedKmer>& req = pred_probes[rank][shard];
+    unitig::for_each_node_in_shard(
+        local_table(rank), g.offsets, shard,
+        [&](std::uint32_t id, const Table::Entry& e) {
+          int out = 0;
+          int in = 0;
+          int in_code = 0;
+          Slot& s = g.slots[id];
+          for (int code = 0; code < bio::kNumBases; ++code) {
+            if (v[code] != 0) {
+              ++out;
+              s.out_code = static_cast<std::uint8_t>(code);
+            }
+            if (v[4 + code] != 0) {
+              ++in;
+              in_code = code;
+            }
+          }
+          v += 8;
+          s.count = e.value;
+          s.out_deg = static_cast<std::uint8_t>(out);
+          s.in_weight = static_cast<std::uint8_t>(in);
+          s.next_id = g.sentinel();
+          if (out == 1) {
+            const bio::PackedKmer next = e.key.successor(s.out_code);
+            if (map.rank_of_hash(next.hash64()) == rank) {
+              s.next_id = static_cast<std::uint32_t>(
+                  local_table(rank).dense_find(next, g.offsets).id);
+            }
+          }
+          if (out == 0) dead_ends.fetch_add(1, std::memory_order_relaxed);
+          if (out > 1) forks.fetch_add(1, std::memory_order_relaxed);
+          if (in == 1) {
+            const bio::PackedKmer pred = e.key.predecessor(in_code);
+            for (int code = 0; code < bio::kNumBases; ++code) {
+              req.push_back(pred.successor(code));
+            }
+          }
+        });
+    found[rank][shard] = {};
+  });
+  const DistKmerTable::RankShardLists<std::uint32_t> pred_found =
+      table.find_batch(std::move(pred_probes), pool);
 
   // The unique predecessor weighs 1 when the path through it is forced,
   // 2 when it forks: the single-rank in_weight.
-  for (const std::uint32_t rank : live) {
+  for_each_rank_shard(pool, live, [&](std::uint32_t rank,
+                                      std::uint32_t shard) {
     RankSlots& g = ranks[rank];
-    const std::vector<std::uint32_t> vals = table.collect_finds(rank);
-    unitig::for_each_node(local_table(rank), g.offsets, pool,
-                          [&](std::size_t shard, std::uint32_t id,
-                              const auto&) {
-      if (g.slots[id].in_weight != 1) return;
-      const std::uint32_t* v = &vals[4 * cursor[rank][shard]++];
-      const int pred_out =
-          (v[0] != 0) + (v[1] != 0) + (v[2] != 0) + (v[3] != 0);
-      g.slots[id].in_weight = pred_out > 1 ? 2 : 1;
-    });
-  }
+    const std::uint32_t* v = pred_found[rank][shard].data();
+    unitig::for_each_node_in_shard(
+        local_table(rank), g.offsets, shard,
+        [&](std::uint32_t id, const Table::Entry&) {
+          Slot& s = g.slots[id];
+          if (s.in_weight != 1) return;
+          const int pred_out =
+              (v[0] != 0) + (v[1] != 0) + (v[2] != 0) + (v[3] != 0);
+          v += 4;
+          s.in_weight = pred_out > 1 ? 2 : 1;
+        });
+  });
 
   // Pass 1: every rank walks its heads on the pool, as generate_contigs
   // does; walks that reach the sentinel are handed off from the driver,

@@ -14,11 +14,13 @@ class WarpExecutionEngine;
 /// Distributed pipeline front-end: k-mer counting, low-count filtering and
 /// de Bruijn contig generation over a rank-sharded DistKmerTable, with all
 /// remote operations batched through the MessageLayer. Every function here
-/// is driver-thread orchestration; the worker pool only ever runs
-/// rank-local work (chunk scans into the rank's shared concurrent count
-/// table, per-shard passes over a rank's nodes and walks from its heads),
-/// and every message is sent from the driver thread in an order fixed by
-/// the data, so results and traffic are bit-identical to the 1-rank
+/// is driver-thread orchestration of pool work: chunk scans that split a
+/// rank's windows into its shared concurrent count table and per-owner
+/// send lists, per-rank insert drains, per-(rank, shard) find requests
+/// and classification passes, and walks from each rank's heads. Pool
+/// tasks only read delivered inboxes; the driver enqueues every message
+/// (a whole per-link list at a time) in an order fixed by the data and
+/// flushes, so results and traffic are bit-identical to the 1-rank
 /// oracle at every (ranks x threads) combination — the contract the
 /// tests/dist suite pins.
 namespace lassm::dist {
@@ -39,9 +41,10 @@ struct CountStats {
 /// scanned in deterministic chunks through pipeline::insert_read_kmers.
 /// Locally-owned k-mers go into one concurrent count table per rank, whose
 /// storage then moves into the rank's masked owned shards (count_kmers'
-/// shared-table path); remote k-mers are enqueued uncombined to their
-/// owners in chunk and window order. One flush epoch then delivers, and
-/// every rank drains its remote inserts in (src, send-order). `shard_mask`
+/// shared-table path); remote k-mers are listed per owner and enqueued
+/// uncombined in chunk and window order. One flush epoch then delivers,
+/// and every rank drains its remote inserts in (src, send-order), one
+/// pool task per rank. `shard_mask`
 /// restricts the scan to k-mers of the set shards (bit s = FlatKmerTable
 /// shard s): ~0 for a full count, the orphaned shards for rank-loss
 /// recounting. The masked shards must be empty on entry (the moved
@@ -61,11 +64,13 @@ std::size_t filter_low_count_dist(DistKmerTable& table,
 /// pipeline::generate_contigs on the merged table and walked by the same
 /// step loop (pipeline/unitig_walk.hpp). Each rank classifies its owned
 /// nodes into a Slot array over its local table's dense ids from two
-/// batched find epochs: every node's 4 successors and 4 predecessors,
-/// then the unique predecessor's 4 successors for each node of in-degree
-/// 1. A successor owned by another rank points at the rank's sentinel
-/// slot, where the step loop stops; the driver then sends the walk to the
-/// successor's owner, which checks the arrival and continues the loop.
+/// DistKmerTable::find_batch calls: every node's 4 successors and 4
+/// predecessors, then the unique predecessor's 4 successors for each node
+/// of in-degree 1. A successor owned by another rank points at the rank's
+/// sentinel slot, where the step loop stops; the driver then sends the
+/// walk's header to the successor's owner (its sequence billed as bulk
+/// bytes, the record itself passed through a per-link FIFO), which checks
+/// the arrival and continues the loop.
 /// Pass 1 walks every rank's heads on the pool and drains the handoffs in
 /// flush supersteps; pass 2 breaks the remaining pure cycles, serially in
 /// global k-mer order, exactly where the oracle breaks them. The messages

@@ -1,10 +1,15 @@
 #include "dist/message_layer.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 namespace lassm::dist {
 
 namespace {
+
+/// Largest outbox buffer a flush keeps for reuse.
+constexpr std::size_t kKeptBufferBytes = std::size_t{1} << 20;
 
 /// Stable key of one wire batch for the rank_msg_drop seam: a pure
 /// function of (epoch, src, dst, batch ordinal), so a given plan drops
@@ -93,11 +98,22 @@ double MessageLayer::flush() {
     }
   }
 
-  // Deliver: the outboxes become the inboxes (previous inboxes are
-  // dropped — an epoch's inbox must be drained before the next flush),
-  // local loopback queues included.
-  in_ = std::move(out_);
-  out_.assign(in_.size(), Queue{});
+  // Deliver: the outboxes become the inboxes, local loopback queues
+  // included. The previous inboxes are dropped (an epoch's inbox must be
+  // drained before the next flush) and their buffers become the next
+  // epoch's outboxes, so steady supersteps send without reallocating. A
+  // bulk epoch's buffers (a batched find carries tens of MB per link) go
+  // back to the allocator instead of pinning memory through later phases.
+  in_.swap(out_);
+  for (Queue& q : out_) {
+    if (q.buf.capacity() > kKeptBufferBytes) {
+      std::vector<char>().swap(q.buf);
+    } else {
+      q.buf.clear();
+    }
+    q.count = 0;
+    q.payload = 0;
+  }
   std::fill(bulk_msgs_.begin(), bulk_msgs_.end(), 0);
   std::fill(bulk_bytes_.begin(), bulk_bytes_.end(), 0);
   ++epoch_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -20,7 +21,9 @@
 ///
 /// Determinism contract (relied on for bit-identity to the 1-rank
 /// oracle):
-///  - the layer is driver-thread-only; worker threads never touch it,
+///  - enqueueing (send / send_array / send_bytes / bill_bulk) and flush()
+///    happen on the driver thread only; between flushes, pool tasks may
+///    read a delivered inbox (the const drains below) and nothing else,
 ///  - flush() delivers every queued message exactly once, and
 ///    for_each()/for_each_bytes() drain a destination's inbox in
 ///    (ascending src, send order) — a pure function of the enqueue
@@ -78,21 +81,43 @@ class MessageLayer {
     send_bytes(src, dst, channel, &msg, sizeof(T));
   }
 
+  /// Enqueues msgs[0..n) on one link: the same frames, counts and
+  /// billing as n send() calls in array order.
+  template <class T>
+  void send_array(std::uint32_t src, std::uint32_t dst, std::uint32_t channel,
+                  const T* msgs, std::size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "messages cross the simulated wire as raw bytes");
+    constexpr std::uint32_t len = sizeof(T);
+    Queue& q = out_[queue_index(src, dst, channel)];
+    const std::size_t pos = q.buf.size();
+    q.buf.resize(pos + n * (sizeof(len) + len));
+    char* p = q.buf.data() + pos;
+    for (std::size_t i = 0; i < n; ++i, p += sizeof(len) + len) {
+      std::memcpy(p, &len, sizeof(len));
+      std::memcpy(p + sizeof(len), msgs + i, len);
+    }
+    q.count += n;
+    q.payload += n * len;
+  }
+
   /// Enqueues one variable-size message (length-prefixed internally).
   void send_bytes(std::uint32_t src, std::uint32_t dst,
                   std::uint32_t channel, const void* data, std::uint32_t n);
 
   /// Billing-only record of bulk traffic that is not routed through the
-  /// queues (e.g. the round scatter/gather of contigs and reads, whose
-  /// payloads stay in shared memory). Costed at the next flush exactly
-  /// like queued payload on the same link.
+  /// queues (e.g. the round scatter/gather of contigs and reads, or a
+  /// handed-off walk's sequence, whose payloads stay in shared memory).
+  /// Costed at the next flush exactly like queued payload on the same
+  /// link.
   void bill_bulk(std::uint32_t src, std::uint32_t dst, std::uint64_t msgs,
                  std::uint64_t bytes);
 
   /// Ends the epoch: bills every link's queued + bulk payload, applies
-  /// the rank_msg_drop seam per batch, moves outboxes to inboxes
-  /// (replacing the previous epoch's inboxes), and returns the epoch's
-  /// modelled seconds (max over links).
+  /// the rank_msg_drop seam per batch, swaps outboxes and inboxes
+  /// (discarding the previous epoch's inboxes but keeping their buffers,
+  /// up to 1 MiB each, for the next epoch's sends), and returns the
+  /// epoch's modelled seconds (max over links).
   double flush();
 
   /// Messages queued for the next flush (all channels).
@@ -111,20 +136,29 @@ class MessageLayer {
                    });
   }
 
+  /// Drains the (src, dst) link of dst's inbox for `channel`: f(msg) in
+  /// send order. Links are disjoint, so pool tasks may drain different
+  /// links (or the same one) concurrently.
+  template <class T, class F>
+  void for_each_from(std::uint32_t src, std::uint32_t dst,
+                     std::uint32_t channel, F&& f) const {
+    for_each_bytes_from(src, dst, channel,
+                        [&](const char* p, std::uint32_t) {
+                          T msg;
+                          std::memcpy(&msg, p, sizeof(T));
+                          f(msg);
+                        });
+  }
+
   /// Raw-bytes drain, same order contract: f(src, data, size).
   template <class F>
   void for_each_bytes(std::uint32_t dst, std::uint32_t channel,
                       F&& f) const {
     for (std::uint32_t src = 0; src < n_ranks_; ++src) {
-      const Queue& q = in_[queue_index(src, dst, channel)];
-      std::size_t pos = 0;
-      while (pos < q.buf.size()) {
-        std::uint32_t len = 0;
-        std::memcpy(&len, q.buf.data() + pos, sizeof(len));
-        pos += sizeof(len);
-        f(src, q.buf.data() + pos, len);
-        pos += len;
-      }
+      for_each_bytes_from(src, dst, channel,
+                          [&](const char* p, std::uint32_t n) {
+                            f(src, p, n);
+                          });
     }
   }
 
@@ -144,6 +178,20 @@ class MessageLayer {
     std::uint64_t count = 0;      ///< messages queued
     std::uint64_t payload = 0;    ///< payload bytes (billed; excl. framing)
   };
+
+  template <class F>
+  void for_each_bytes_from(std::uint32_t src, std::uint32_t dst,
+                           std::uint32_t channel, F&& f) const {
+    const Queue& q = in_[queue_index(src, dst, channel)];
+    std::size_t pos = 0;
+    while (pos < q.buf.size()) {
+      std::uint32_t len = 0;
+      std::memcpy(&len, q.buf.data() + pos, sizeof(len));
+      pos += sizeof(len);
+      f(q.buf.data() + pos, len);
+      pos += len;
+    }
+  }
 
   std::size_t queue_index(std::uint32_t src, std::uint32_t dst,
                           std::uint32_t channel) const noexcept {

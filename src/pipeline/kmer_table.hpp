@@ -105,7 +105,13 @@ class FlatKmerTable {
   }
 
   const Value* find(const bio::PackedKmer& km) const noexcept {
-    const std::uint64_t h = km.hash64();
+    return find_hashed(km, km.hash64());
+  }
+
+  /// find with the hash already computed (callers that also route by the
+  /// hash hash each key exactly once).
+  const Value* find_hashed(const bio::PackedKmer& km,
+                           std::uint64_t h) const noexcept {
     const Shard& s = shards_[shard_of_hash(h)];
     if (s.slots.empty()) return nullptr;
     const std::size_t mask = s.slots.size() - 1;

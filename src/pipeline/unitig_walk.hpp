@@ -63,19 +63,29 @@ inline Offsets slot_offsets(const Table& table, const char* caller) {
   return offsets;
 }
 
+/// Runs f(dense_id, entry) for every live node of one shard, in dense
+/// order.
+template <class F>
+void for_each_node_in_shard(const Table& table, const Offsets& offsets,
+                            std::uint32_t shard, F&& f) {
+  table.for_each_slot_in_shard(
+      shard, [&](std::size_t slot, const Table::Entry& e) {
+        if (e.value != 0) {
+          f(static_cast<std::uint32_t>(offsets[shard] + slot), e);
+        }
+      });
+}
+
 /// Runs f(shard, dense_id, entry) for every live node, one task per shard
 /// (in dense order on the calling thread when `pool` is null).
 template <class F>
 void for_each_node(const Table& table, const Offsets& offsets,
                    core::WarpExecutionEngine* pool, F&& f) {
   stage_for(pool, Table::kShards, [&](std::size_t shard, unsigned) {
-    const auto sid = static_cast<std::uint32_t>(shard);
-    table.for_each_slot_in_shard(
-        sid, [&](std::size_t slot, const Table::Entry& e) {
-          if (e.value != 0) {
-            f(shard, static_cast<std::uint32_t>(offsets[sid] + slot), e);
-          }
-        });
+    for_each_node_in_shard(table, offsets, static_cast<std::uint32_t>(shard),
+                           [&](std::uint32_t id, const Table::Entry& e) {
+                             f(shard, id, e);
+                           });
   });
 }
 

@@ -1,13 +1,14 @@
 // Differential tests of the distributed building blocks against direct
 // single-table oracles: ShardMap partitioning/adoption invariants,
 // MessageLayer framing + drain order + NetworkSpec billing + the
-// rank_msg_drop seam, DistKmerTable's batched insert/find protocols under
-// seeded randomized interleavings at 1/2/4 ranks, and the distributed
-// front-end (count / filter / contigs) vs the single-rank front-end at
-// 1 and 4 worker threads, on shotgun reads and on hand-built graphs,
-// with the DBG's message count held to a probe model computed from the
-// rank tables alone. The contract throughout: ranks, batching and armed
-// message-drop plans are cost knobs, never result knobs.
+// rank_msg_drop seam + bulk sends, DistKmerTable's batched insert/find
+// protocols under seeded randomized interleavings at 1/2/4 ranks, and the
+// distributed front-end (count / filter / contigs) vs the single-rank
+// front-end at 1 and 4 worker threads, on shotgun reads and on hand-built
+// graphs, with the DBG's message count held to a probe model computed
+// from the rank tables alone and its whole traffic ledger pinned. The
+// contract throughout: ranks, batching and armed message-drop plans are
+// cost knobs, never result knobs.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -88,6 +90,13 @@ Dump dump_dist(const DistKmerTable& table) {
   }
   std::sort(d.begin(), d.end());
   return d;
+}
+
+std::unique_ptr<core::WarpExecutionEngine> make_pool(unsigned n_threads) {
+  if (n_threads <= 1) return nullptr;
+  return std::make_unique<core::WarpExecutionEngine>(
+      simt::DeviceSpec::a100(), simt::ProgrammingModel::kCuda,
+      core::AssemblyOptions{}, n_threads);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +311,108 @@ TEST(MessageLayer, DropSeamBillsRetransmitsWithoutChangingDelivery) {
   EXPECT_EQ(dropped.traffic().bytes, clean.traffic().bytes);
 }
 
+/// Every field of two traffic ledgers, network seconds bit for bit.
+void expect_same_traffic(const TrafficStats& a, const TrafficStats& b) {
+  EXPECT_EQ(a.msgs, b.msgs);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.network_s),
+            std::bit_cast<std::uint64_t>(b.network_s));
+}
+
+/// dst's inbox on `channel` as (src, frame bytes), in drain order.
+std::vector<std::pair<std::uint32_t, std::string>> inbox_frames(
+    const MessageLayer& msg, std::uint32_t dst, std::uint32_t channel) {
+  std::vector<std::pair<std::uint32_t, std::string>> frames;
+  msg.for_each_bytes(dst, channel,
+                     [&](std::uint32_t src, const char* p, std::uint32_t n) {
+                       frames.emplace_back(src, std::string(p, n));
+                     });
+  return frames;
+}
+
+TEST(MessageLayer, SendArrayMatchesRepeatedSend) {
+  struct Msg {
+    std::uint64_t key;
+    std::uint32_t value;
+    std::uint32_t channel;
+  };
+  resilience::FaultPlan plan(3);
+  plan.arm(resilience::Seam::kRankMsgDrop, 0.5);
+  MessageLayer arrays(3, 2, test_net(), &plan);
+  MessageLayer singles(3, 2, test_net(), &plan);
+
+  // Two epochs, so the second one sends into the buffers the first one
+  // delivered into. Some links carry several batches' worth.
+  for (std::uint32_t epoch = 0; epoch < 2; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    for (std::uint32_t src = 0; src < 3; ++src) {
+      for (std::uint32_t dst = 0; dst < 3; ++dst) {
+        for (std::uint32_t ch = 0; ch < 2; ++ch) {
+          std::vector<Msg> batch((src + 1) * (dst + 2) * (ch + 1) * 1500 +
+                                 epoch);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch[i] = Msg{i * 7919 + src, static_cast<std::uint32_t>(i), ch};
+          }
+          // Split in two calls: appends continue the link's frames.
+          const std::size_t half = batch.size() / 2;
+          arrays.send_array(src, dst, ch, batch.data(), half);
+          arrays.send_array(src, dst, ch, batch.data() + half,
+                            batch.size() - half);
+          for (const Msg& m : batch) singles.send(src, dst, ch, m);
+        }
+      }
+    }
+    EXPECT_EQ(arrays.pending(), singles.pending());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(arrays.flush()),
+              std::bit_cast<std::uint64_t>(singles.flush()));
+    expect_same_traffic(arrays.traffic(), singles.traffic());
+    for (std::uint32_t dst = 0; dst < 3; ++dst) {
+      for (std::uint32_t ch = 0; ch < 2; ++ch) {
+        EXPECT_EQ(inbox_frames(arrays, dst, ch),
+                  inbox_frames(singles, dst, ch));
+        EXPECT_EQ(arrays.inbox_count(dst, ch), singles.inbox_count(dst, ch));
+      }
+    }
+  }
+  // The armed plan did drop some batches, identically on both sides.
+  EXPECT_GT(arrays.traffic().drops, 0U);
+  EXPECT_LT(arrays.traffic().drops, arrays.traffic().batches);
+}
+
+TEST(MessageLayer, HeaderPlusBulkBillsLikeOneFrame) {
+  struct Header {
+    std::uint64_t epoch;
+    std::uint64_t seq_len;
+  };
+  resilience::FaultPlan plan(5);
+  plan.arm(resilience::Seam::kRankMsgDrop, 0.5);
+  for (const std::uint32_t n : {0u, 1u, 1000u, 70'000u, 200'000u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    MessageLayer frame(2, 1, test_net(), &plan);
+    MessageLayer split(2, 1, test_net(), &plan);
+    for (std::uint32_t epoch = 0; epoch < 3; ++epoch) {
+      const Header h{epoch, n};
+      std::string bytes(sizeof(h) + n, 's');
+      std::memcpy(bytes.data(), &h, sizeof(h));
+      frame.send_bytes(0, 1, 0, bytes.data(),
+                       static_cast<std::uint32_t>(bytes.size()));
+      split.send(0, 1, 0, h);
+      split.bill_bulk(0, 1, 0, n);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(frame.flush()),
+                std::bit_cast<std::uint64_t>(split.flush()));
+      expect_same_traffic(frame.traffic(), split.traffic());
+      // Only the header crossed the queue.
+      const auto got = inbox_frames(split, 1, 0);
+      ASSERT_EQ(got.size(), 1U);
+      EXPECT_EQ(got[0].second, bytes.substr(0, sizeof(h)));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DistKmerTable differential vs a direct single-table oracle
 
@@ -356,42 +467,52 @@ TEST(DistKmerTable, FindProtocolAnswersInRequestOrder) {
   const std::vector<bio::PackedKmer> pool = random_kmers(43, 200);
   const std::vector<bio::PackedKmer> absent = random_kmers(44, 50);
   for (const std::uint32_t ranks : {1u, 2u, 4u}) {
-    SCOPED_TRACE("ranks=" + std::to_string(ranks));
-    ShardMap map(ranks);
-    MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels, test_net());
-    DistKmerTable table(map, msg);
-    pipeline::KmerCounts oracle;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                   " threads=" + std::to_string(threads));
+      const auto workers = make_pool(threads);
+      ShardMap map(ranks);
+      MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels,
+                       test_net());
+      DistKmerTable table(map, msg);
+      pipeline::KmerCounts oracle;
 
-    std::mt19937 rng(77);
-    for (const bio::PackedKmer& km : pool) {
-      const auto n = static_cast<std::uint32_t>(1 + rng() % 5);
-      table.add(static_cast<std::uint32_t>(rng() % ranks), km, n);
-      oracle.add_hashed(km, km.hash64(), n);
-    }
-    msg.flush();
-    for (const std::uint32_t r : map.live_ranks()) table.drain_inserts(r);
-
-    // Each rank asks for a different shuffled mix of present and absent
-    // k-mers; answers must come back in the exact order asked.
-    std::vector<std::vector<bio::PackedKmer>> queries(ranks);
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-      queries[r] = pool;
-      queries[r].insert(queries[r].end(), absent.begin(), absent.end());
-      std::shuffle(queries[r].begin(), queries[r].end(), rng);
-      for (const bio::PackedKmer& km : queries[r]) {
-        table.find_enqueue(r, km);
+      std::mt19937 rng(77);
+      for (const bio::PackedKmer& km : pool) {
+        const auto n = static_cast<std::uint32_t>(1 + rng() % 5);
+        table.add(static_cast<std::uint32_t>(rng() % ranks), km, n);
+        oracle.add_hashed(km, km.hash64(), n);
       }
-    }
-    msg.flush();
-    for (const std::uint32_t r : map.live_ranks()) table.serve_finds(r);
-    msg.flush();
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-      const std::vector<std::uint32_t> got = table.collect_finds(r);
-      ASSERT_EQ(got.size(), queries[r].size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        const std::uint32_t* c = oracle.table().find(queries[r][i]);
-        const std::uint32_t want = c != nullptr ? *c : 0;
-        EXPECT_EQ(got[i], want) << "rank " << r << " query " << i;
+      msg.flush();
+      for (const std::uint32_t r : map.live_ranks()) table.drain_inserts(r);
+
+      // Each rank asks for a different shuffled mix of present and absent
+      // k-mers, spread over random request lists; answers must come back
+      // in the exact order asked.
+      DistKmerTable::RankShardLists<bio::PackedKmer> queries(ranks);
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        std::vector<bio::PackedKmer> mix = pool;
+        mix.insert(mix.end(), absent.begin(), absent.end());
+        std::shuffle(mix.begin(), mix.end(), rng);
+        for (const bio::PackedKmer& km : mix) {
+          queries[r][rng() % ShardMap::kShards].push_back(km);
+        }
+      }
+      const TrafficStats before = msg.traffic();
+      const DistKmerTable::RankShardLists<std::uint32_t> got =
+          table.find_batch(queries, workers.get());
+      EXPECT_EQ(msg.traffic().flushes - before.flushes, 2U);
+      ASSERT_EQ(got.size(), queries.size());
+      for (std::uint32_t r = 0; r < ranks; ++r) {
+        for (std::uint32_t s = 0; s < ShardMap::kShards; ++s) {
+          ASSERT_EQ(got[r][s].size(), queries[r][s].size());
+          for (std::size_t i = 0; i < got[r][s].size(); ++i) {
+            const std::uint32_t* c = oracle.table().find(queries[r][s][i]);
+            const std::uint32_t want = c != nullptr ? *c : 0;
+            EXPECT_EQ(got[r][s][i], want)
+                << "rank " << r << " list " << s << " query " << i;
+          }
+        }
       }
     }
   }
@@ -429,13 +550,6 @@ TEST(DistKmerTable, ArmedDropPlanLeavesResultsIdentical) {
 
 // ---------------------------------------------------------------------------
 // Distributed front-end vs the single-rank front-end
-
-std::unique_ptr<core::WarpExecutionEngine> make_pool(unsigned n_threads) {
-  if (n_threads <= 1) return nullptr;
-  return std::make_unique<core::WarpExecutionEngine>(
-      simt::DeviceSpec::a100(), simt::ProgrammingModel::kCuda,
-      core::AssemblyOptions{}, n_threads);
-}
 
 TEST(DistFrontend, CountFilterContigsMatchOracleAtEveryRankAndThreadCount) {
   constexpr std::uint32_t kK = 21;
@@ -672,11 +786,10 @@ std::uint64_t dbg_msgs_model(const DistKmerTable& table) {
   return 2 * finds + handoffs;
 }
 
-TEST(DistFrontend, DbgTrafficMatchesProbeModel) {
-  constexpr std::uint32_t kK = 21;
+/// A 60 kb genome with a 400 bp repeat (forks and joins), sampled at 10x
+/// in 120 bp reads with 0.5% substitutions: tips and bubbles throughout.
+bio::ReadSet repeat_genome_reads() {
   constexpr std::size_t kReadLen = 120;
-  // A 60 kb genome with a 400 bp repeat (forks and joins), sampled at 10x
-  // with 0.5% substitutions: tips and bubbles throughout.
   std::string genome = random_seq(81, 60000);
   genome.replace(40000, 400, genome.substr(10000, 400));
   bio::Xoshiro256 rng(82);
@@ -691,6 +804,12 @@ TEST(DistFrontend, DbgTrafficMatchesProbeModel) {
     }
     reads.append(read, 35);
   }
+  return reads;
+}
+
+TEST(DistFrontend, DbgTrafficMatchesProbeModel) {
+  constexpr std::uint32_t kK = 21;
+  const bio::ReadSet reads = repeat_genome_reads();
 
   for (const std::uint32_t ranks : {2u, 4u, 8u}) {
     std::vector<TrafficStats> dbg;
@@ -718,6 +837,45 @@ TEST(DistFrontend, DbgTrafficMatchesProbeModel) {
     EXPECT_EQ(dbg[0].flushes, dbg[1].flushes);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(dbg[0].network_s),
               std::bit_cast<std::uint64_t>(dbg[1].network_s));
+  }
+}
+
+TEST(DistFrontend, DbgTrafficIsPinned) {
+  // The DBG's whole traffic ledger on the repeat genome, walk sequence
+  // bytes included (the probe model above counts messages only). Any
+  // change to what the ranks send, or how it is batched, moves these.
+  struct Pinned {
+    std::uint32_t ranks;
+    std::uint64_t msgs;
+    std::uint64_t bytes;
+    std::uint64_t batches;
+    std::uint64_t flushes;
+    std::uint64_t network_s_bits;
+  };
+  constexpr Pinned kPinned[] = {
+      {2, 684'653, 58'302'107, 5'162, 2'709, 0x3f7cb475599da70fULL},
+      {4, 1'025'322, 86'819'289, 23'833, 4'018, 0x3f8259c0e9a73c8eULL},
+      {8, 1'197'140, 101'265'898, 44'609, 4'675, 0x3f8492cb7a0981eeULL},
+  };
+  constexpr std::uint32_t kK = 21;
+  const bio::ReadSet reads = repeat_genome_reads();
+  const auto pool = make_pool(4);
+  for (const Pinned& want : kPinned) {
+    SCOPED_TRACE("ranks=" + std::to_string(want.ranks));
+    ShardMap map(want.ranks);
+    MessageLayer msg(map.n_ranks(), DistKmerTable::kNumChannels, test_net());
+    DistKmerTable table(map, msg);
+    count_kmers_dist(table, reads, kK, ~std::uint64_t{0}, pool.get());
+    filter_low_count_dist(table, 2, pool.get());
+    const TrafficStats before = msg.traffic();
+    generate_contigs_dist(table, kK, 0, nullptr, pool.get());
+    const TrafficStats got = msg.traffic().minus(before);
+    EXPECT_EQ(got.msgs, want.msgs);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.batches, want.batches);
+    EXPECT_EQ(got.flushes, want.flushes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.network_s),
+              want.network_s_bits);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "bio/rng.hpp"
 
@@ -95,6 +96,38 @@ TEST(FlatKmerTable, ForEachSlotInShardVisitsExactlyTheUsedSlots) {
     EXPECT_EQ(in_shard, table.shard_entries(s)) << s;
   }
   EXPECT_EQ(ids.size(), table.entries());
+}
+
+TEST(FlatKmerTable, FindHashedEqualsFind) {
+  using Table = FlatKmerTable<std::uint32_t>;
+  Table table;
+  bio::Xoshiro256 rng(9);
+  const auto random_kmer = [&] {
+    std::string s(21, 'A');
+    for (char& c : s) c = bio::code_to_base(static_cast<int>(rng.below(4)));
+    return bio::PackedKmer::pack(s);
+  };
+  std::vector<bio::PackedKmer> present;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    present.push_back(random_kmer());
+    // Every third key is filtered: present in the table with count 0.
+    table.get_or_insert(present.back()) = i % 3 == 0 ? 0 : i + 1;
+  }
+  std::vector<bio::PackedKmer> keys = present;
+  for (int i = 0; i < 500; ++i) keys.push_back(random_kmer());  // absent
+  std::size_t found = 0;
+  std::size_t filtered = 0;
+  for (const bio::PackedKmer& km : keys) {
+    const std::uint32_t* want = table.find(km);
+    const std::uint32_t* got = table.find_hashed(km, km.hash64());
+    EXPECT_EQ(got, want);
+    found += got != nullptr;
+    filtered += got != nullptr && *got == 0;
+  }
+  // All three kinds of key were probed.
+  EXPECT_EQ(found, table.entries());
+  EXPECT_GT(filtered, 0U);
+  EXPECT_LT(found, keys.size());
 }
 
 }  // namespace
