@@ -8,9 +8,12 @@
 # message-layer differential tests, the rank x thread bit-identity matrix
 # and the weak-scaling partition/traffic bars), the fault-matrix and
 # traced-fault suites and the tracer's span/metrics/attribution tests,
-# then drives a traced multi-threaded end-to-end run (plus a faulted one
+# then drives a traced multi-threaded kernel run (plus a faulted one
 # that must dump the flight recorder) and validates the emitted
-# trace/metrics/profile/flight JSON with python3 -m json.tool.
+# trace/metrics/profile/flight JSON with python3 -m json.tool. Last, it
+# runs the whole pipeline on 4 ranks at 1 and 4 host threads (stdout
+# must match byte for byte) and once traced (trace and metrics JSON
+# must parse).
 # Leg 2 (ASan+UBSan): rebuilds with AddressSanitizer + UBSan and runs the
 # parser fuzz corpus, the fault matrix, the checkpoint suite, the
 # serving suite with its 10k-job fault-storm soak gate (every job must be
@@ -44,7 +47,7 @@ cmake -B "$BUILD" -S . \
 
 cmake --build "$BUILD" -j \
   --target tests_core tests_trace tests_memsim tests_resilience \
-  tests_pipeline tests_serve tests_dist quickstart
+  tests_pipeline tests_serve tests_dist quickstart metagenome_assembly
 
 # The parallel-assembler suite drives the pool across thread counts, batch
 # shapes, steal interleavings and the error path; any data race in the
@@ -132,6 +135,28 @@ for dump in "$FLIGHT_DIR"/flight_*.json; do
   python3 -m json.tool "$dump" > /dev/null
 done
 echo "check.sh: flight recorder dumps present and valid."
+
+# The pipeline driver end to end: every stage of the distributed pipeline
+# (sharded count, DBG, per-round alignment and the per-rank device fleet)
+# on a live pool under the race detector. Stdout carries no wall clock,
+# so the 1- and 4-thread runs must print the same bytes; the traced run's
+# trace and metrics must be valid JSON. The example writes assembly.fasta
+# to its working directory, so the runs start inside the build tree.
+(
+  cd "$BUILD"
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./examples/metagenome_assembly a100 3 8 1 --ranks 4 > check_dist_1t.txt
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./examples/metagenome_assembly a100 3 8 4 --ranks 4 > check_dist_4t.txt
+  cmp check_dist_1t.txt check_dist_4t.txt
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./examples/metagenome_assembly a100 3 8 4 --ranks 4 \
+    --trace check_dist_trace.json --metrics check_dist_metrics.json \
+    > /dev/null
+  python3 -m json.tool check_dist_trace.json > /dev/null
+  python3 -m json.tool check_dist_metrics.json > /dev/null
+)
+echo "check.sh: distributed pipeline stdout thread-invariant; trace/metrics JSON valid."
 
 echo "check.sh: TSan run clean."
 

@@ -18,7 +18,8 @@
 /// (dist::frontend). The per-round local assembly runs one simulated
 /// device per live rank through pipeline::run_multi_gpu_resilient. All
 /// communication is billed through one MessageLayer against the device's
-/// NetworkSpec.
+/// NetworkSpec. The stage loop is run_pipeline's (pipeline/driver.hpp);
+/// this driver adds only what a rank fleet does.
 ///
 /// Contract: every pipeline output (contigs, extensions, per-round stats,
 /// DBG stats) is bit-identical to pipeline::run_pipeline on one rank, for
@@ -26,7 +27,8 @@
 /// and threads are throughput/cost knobs, never result knobs. Rank loss
 /// (the FaultPlan rank_loss seam at phase boundaries, or device_loss
 /// mid-round) recovers bit-identically: survivors adopt the lost rank's
-/// shard range and recount the orphaned shards from the full read set.
+/// shard range and recount the orphaned shards from the full read set. A
+/// device lost while one rank is live recovers as in run_pipeline.
 namespace lassm::dist {
 
 struct DistOptions {

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/binning.hpp"
 #include "resilience/fault_plan.hpp"
@@ -48,25 +49,10 @@ std::vector<core::AssemblyInput> partition_input(
     }
   }
 
-  std::vector<core::AssemblyInput> parts(num_ranks);
-  for (std::uint32_t r = 0; r < num_ranks; ++r) {
-    core::AssemblyInput& part = parts[r];
-    part.kmer_len = in.kmer_len;
-    part.left_reads.resize(members[r].size());
-    part.right_reads.resize(members[r].size());
-    for (std::size_t local = 0; local < members[r].size(); ++local) {
-      const std::uint32_t id = members[r][local];
-      part.contigs.push_back(in.contigs[id]);
-      auto copy_side = [&](const std::vector<std::uint32_t>& src,
-                           std::vector<std::uint32_t>& dst) {
-        for (std::uint32_t read_id : src) {
-          dst.push_back(static_cast<std::uint32_t>(part.reads.append(
-              in.reads.seq(read_id), in.reads.qual(read_id))));
-        }
-      };
-      copy_side(in.left_reads[id], part.left_reads[local]);
-      copy_side(in.right_reads[id], part.right_reads[local]);
-    }
+  std::vector<core::AssemblyInput> parts;
+  parts.reserve(num_ranks);
+  for (const std::vector<std::uint32_t>& m : members) {
+    parts.push_back(subset_input(in, m));
   }
   return parts;
 }
@@ -91,6 +77,33 @@ core::AssemblyInput subset_input(const core::AssemblyInput& in,
     copy_side(in.right_reads[id], sub.right_reads[local]);
   }
   return sub;
+}
+
+void recover_on_device(const core::LocalAssembler& assembler,
+                       const core::AssemblyInput& in,
+                       core::AssemblyResult& result,
+                       core::WarpExecutionEngine* engine) {
+  if (!result.device_lost) return;
+  core::AssemblyOptions ropts = assembler.options();
+  ropts.fault_rank = kRecoveryRank;
+  const core::AssemblyResult rec =
+      core::LocalAssembler(assembler.device(), assembler.model(), ropts)
+          .run(subset_input(in, result.unfinished_contigs), engine);
+  if (rec.device_lost) {
+    throw StatusError(
+        Error(ErrorCode::kDeviceLost, "device lost during recovery rerun"));
+  }
+  for (std::size_t i = 0; i < result.unfinished_contigs.size(); ++i) {
+    result.extensions[result.unfinished_contigs[i]] = rec.extensions[i];
+  }
+  result.total_time_s += rec.total_time_s;
+  result.failures.merge(rec.failures);
+  resilience::RebalanceEvent ev;
+  ev.lost_rank = assembler.options().fault_rank;
+  ev.after_batch = result.completed_batches;
+  ev.moved_contigs = result.unfinished_contigs.size();
+  ev.survivors = {kRecoveryRank};
+  result.failures.rebalances.push_back(std::move(ev));
 }
 
 namespace {
@@ -134,6 +147,12 @@ MultiGpuResult run_multi_gpu_resilient(
 
   MultiGpuResult result;
   result.extensions.resize(in.contigs.size());
+  // One report per device. Devices beyond the contig count get no work;
+  // as idle survivors, a lost rank's contigs can recover onto them.
+  result.ranks.resize(devices.size());
+  for (std::uint32_t r = 0; r < devices.size(); ++r) {
+    result.ranks[r].rank = phys_rank(r);
+  }
 
   struct LostWork {
     std::uint32_t rank = 0;
@@ -142,30 +161,34 @@ MultiGpuResult run_multi_gpu_resilient(
   };
   std::vector<LostWork> lost;
 
-  for (std::uint32_t r = 0; r < parts.size(); ++r) {
+  // Runs `part` on device `d` as `fault_rank`, accounts its faults and
+  // time, and places its extensions at the global contig ids `ids`.
+  const auto run_part = [&](std::uint32_t d, std::uint32_t fault_rank,
+                            const core::AssemblyInput& part,
+                            const std::vector<std::uint32_t>& ids) {
     core::AssemblyOptions ropts = opts;
     ropts.fault_plan = plan;
-    ropts.fault_rank = phys_rank(r);
-    core::LocalAssembler assembler(devices[r], ropts);
-    const core::AssemblyResult rr = assembler.run(parts[r]);
-
+    ropts.fault_rank = fault_rank;
+    core::AssemblyResult rr = core::LocalAssembler(devices[d], ropts).run(part);
     result.failures.merge(rr.failures);
-    RankReport rep;
-    rep.rank = phys_rank(r);
+    result.total_gpu_s += rr.total_time_s;
+    for (std::size_t local = 0; local < ids.size(); ++local) {
+      rr.extensions[local].contig_id = in.contigs[ids[local]].id;
+      result.extensions[ids[local]] = std::move(rr.extensions[local]);
+    }
+    return rr;
+  };
+
+  for (std::uint32_t r = 0; r < parts.size(); ++r) {
+    // Completed batches' extensions survive a loss (copied back per
+    // batch); only the unfinished tail needs recovery.
+    const core::AssemblyResult rr =
+        run_part(r, phys_rank(r), parts[r], members[r]);
+    RankReport& rep = result.ranks[r];
     rep.contigs = parts[r].contigs.size();
     rep.reads = parts[r].reads.size();
     rep.time_s = rr.total_time_s;
     rep.lost = rr.device_lost;
-    result.total_gpu_s += rr.total_time_s;
-    result.ranks.push_back(rep);
-
-    // Completed batches' extensions survive the loss (copied back per
-    // batch); only the unfinished tail needs recovery.
-    for (std::size_t local = 0; local < members[r].size(); ++local) {
-      bio::ContigExtension ext = rr.extensions[local];
-      ext.contig_id = in.contigs[members[r][local]].id;
-      result.extensions[members[r][local]] = std::move(ext);
-    }
     if (rr.device_lost) {
       LostWork lw;
       lw.rank = phys_rank(r);
@@ -212,30 +235,17 @@ MultiGpuResult run_multi_gpu_resilient(
         sub, static_cast<std::uint32_t>(survivors.size()), &sub_rank_of);
     std::vector<std::vector<std::uint32_t>> sub_members(sub_parts.size());
     for (std::uint32_t i = 0; i < sub.contigs.size(); ++i) {
-      sub_members[sub_rank_of[i]].push_back(i);
+      sub_members[sub_rank_of[i]].push_back(orphan_ids[i]);
     }
 
     for (std::uint32_t s = 0; s < sub_parts.size(); ++s) {
-      const std::uint32_t survivor = survivors[s];
-      core::AssemblyOptions ropts = opts;
-      ropts.fault_plan = plan;
-      ropts.fault_rank = kRecoveryRank;
-      core::LocalAssembler assembler(devices[survivor], ropts);
-      const core::AssemblyResult rr = assembler.run(sub_parts[s]);
+      const core::AssemblyResult rr =
+          run_part(survivors[s], kRecoveryRank, sub_parts[s], sub_members[s]);
       if (rr.device_lost) {
         fail(ErrorCode::kDeviceLost, "recovery rerun reported device loss");
       }
-      result.failures.merge(rr.failures);
       // Recovery serialises after the loss on the survivor's device.
-      result.ranks[survivor].time_s += rr.total_time_s;
-      result.total_gpu_s += rr.total_time_s;
-
-      for (std::size_t local = 0; local < sub_members[s].size(); ++local) {
-        const std::uint32_t global = orphan_ids[sub_members[s][local]];
-        bio::ContigExtension ext = rr.extensions[local];
-        ext.contig_id = in.contigs[global].id;
-        result.extensions[global] = std::move(ext);
-      }
+      result.ranks[survivors[s]].time_s += rr.total_time_s;
     }
 
     for (const LostWork& lw : lost) {

@@ -28,6 +28,8 @@ struct RankReport {
 struct MultiGpuResult {
   /// Extensions in the original input's contig order.
   std::vector<bio::ContigExtension> extensions;
+  /// One per device. Devices beyond the contig count stay idle (no
+  /// contigs, zero time) and count as survivors for device-loss recovery.
   std::vector<RankReport> ranks;
   double makespan_s = 0.0;    ///< max rank time (ranks run concurrently)
   double total_gpu_s = 0.0;   ///< sum of rank times (resource cost)
@@ -62,6 +64,15 @@ core::AssemblyInput subset_input(const core::AssemblyInput& in,
 /// sentinel so a FaultPlan's scheduled losses (which name real ranks) can
 /// never re-kill the recovery pass — recovery terminates by construction.
 inline constexpr std::uint32_t kRecoveryRank = 0xFFFFFFFFu;
+
+/// Single-device recovery: if `result` (`assembler` run over `in`) lost its
+/// device, reruns its unfinished contigs under kRecoveryRank on `engine`,
+/// splices them in, adds the rerun's time and faults and records a
+/// RebalanceEvent. Throws StatusError(kDeviceLost) if the rerun is lost.
+void recover_on_device(const core::LocalAssembler& assembler,
+                       const core::AssemblyInput& in,
+                       core::AssemblyResult& result,
+                       core::WarpExecutionEngine* engine = nullptr);
 
 /// Multi-GPU run of local assembly: one rank per entry of `devices`
 /// (heterogeneous specs allowed), each with `plan` armed and its

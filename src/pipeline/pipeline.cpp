@@ -9,9 +9,12 @@
 #include <ostream>
 #include <sstream>
 
+#include "bio/dna.hpp"
 #include "core/exec.hpp"
 #include "core/reference.hpp"
+#include "pipeline/driver.hpp"
 #include "pipeline/kmer_analysis.hpp"
+#include "pipeline/multi_gpu.hpp"
 #include "trace/trace.hpp"
 
 namespace lassm::pipeline {
@@ -63,6 +66,10 @@ void record_stage_gauge(trace::Tracer* tracer, const char* stage,
   tracer->metrics()
       .gauge(std::string(trace::names::kPipelineStageSecondsPrefix) + stage)
       .set(seconds);
+}
+
+void add_counter(trace::Tracer* tracer, const char* name, std::uint64_t n) {
+  if (tracer != nullptr) tracer->metrics().counter(name).add(n);
 }
 
 }  // namespace
@@ -148,6 +155,7 @@ Result<PipelineCheckpoint> load_checkpoint(std::istream& is) {
     if (!(is >> c.id >> std::hex >> depth_bits >> std::dec >> c.seq)) {
       return fail("contig record", i + 1);
     }
+    if (!bio::is_valid_sequence(c.seq)) return fail("contig bases", i + 1);
     c.depth = bits_double(depth_bits);
     cp.contigs.push_back(std::move(c));
   }
@@ -166,6 +174,7 @@ Result<PipelineCheckpoint> load_checkpoint(std::istream& is) {
           std::dec)) {
       return fail("iteration record", i + 1);
     }
+    if (it.k != cp.k_iterations[i]) return fail("iteration k", i + 1);
     it.kernel_time_s = bits_double(time_bits);
   }
   if (!expect("end")) return fail("missing end marker (truncated file?)");
@@ -211,23 +220,43 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path) {
   return result;
 }
 
-PipelineResult run_pipeline(const bio::ReadSet& reads,
-                            const simt::DeviceSpec& device,
-                            const PipelineOptions& opts, std::ostream* log) {
+namespace detail {
+
+std::uint64_t FrontEnd::count(core::WarpExecutionEngine* pool) {
+  counts_ = count_kmers(reads, opts.contig_k, /*canonical=*/false, pool);
+  return counts_.size();
+}
+
+std::uint64_t FrontEnd::filter(core::WarpExecutionEngine* pool) {
+  return filter_low_count(counts_, opts.min_kmer_count, pool);
+}
+
+bio::ContigSet FrontEnd::contigs(DbgStats* stats,
+                                 core::WarpExecutionEngine* pool) {
+  bio::ContigSet contigs = generate_contigs(
+      counts_, opts.contig_k, opts.min_contig_len, stats, pool);
+  counts_ = KmerCounts{};  // the rounds never read the table again
+  return contigs;
+}
+
+PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
+                          FrontEnd& front) {
+  const bio::ReadSet& reads = front.reads;
+  const PipelineOptions& opts = front.opts;
   PipelineResult result;
 
   trace::Tracer* const tracer = opts.assembly.trace;
   const std::uint32_t driver_track =
-      tracer != nullptr ? tracer->track("host", "driver") : 0;
+      tracer != nullptr ? tracer->track("host", front.track) : 0;
   const double pipeline_t0 =
       tracer != nullptr ? tracer->host_now_us() : 0.0;
 
-  // Stage-level counter attribution: the pipeline node parents every stage
+  // Stage-level counter attribution: the root node parents every stage
   // node, and each k-round parents the assembler's per-launch tree, so the
   // profile reconciles bottom-up to the run totals (see DESIGN.md).
   trace::AttributionProfile* const profile =
       tracer != nullptr ? &tracer->attribution() : nullptr;
-  trace::AttributionProfile::Scope pipeline_scope(profile, "pipeline");
+  trace::AttributionProfile::Scope pipeline_scope(profile, front.root_span);
 
   // One shared thread pool for the whole pipeline: the front-end stages
   // run on it as host batches and every simulated-assembly round runs its
@@ -235,7 +264,8 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
   // once per stage. n_threads == 1 (no pool) is the serial oracle; an
   // armed kPoolStart fault seam degrades the pool at construction exactly
   // as it would degrade each per-round pool (the seam is a pure function
-  // of the plan).
+  // of the plan). Multi-device rounds run on their own per-rank
+  // assemblers inside run_multi_gpu_resilient.
   std::optional<core::LocalAssembler> assembler;
   if (!opts.use_reference) assembler.emplace(device, opts.assembly);
   std::unique_ptr<core::WarpExecutionEngine> pool;
@@ -304,55 +334,48 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     // Stage 1: k-mer analysis with error filtering.
     double stage_t0 = pipeline_t0;
     trace::AttributionProfile::Scope kmer_scope(profile, "kmer_analysis");
+    front.begin_stage();
     StageClock::time_point wall_t0 = StageClock::now();
-    KmerCounts counts = count_kmers(reads, opts.contig_k,
-                                    /*canonical=*/false, pool.get());
+    result.kmers_total = front.count(pool.get());
     result.frontend.count_s = stage_seconds(wall_t0);
-    result.kmers_total = counts.size();
     wall_t0 = StageClock::now();
-    result.kmers_filtered =
-        filter_low_count(counts, opts.min_kmer_count, pool.get());
+    result.kmers_filtered = front.filter(pool.get());
     result.frontend.filter_s = stage_seconds(wall_t0);
+    front.end_stage(profile);
     record_stage(tracer, driver_track, "kmer_analysis", stage_t0,
                  trace::counter_args(kmer_scope.close()));
     record_stage_gauge(tracer, "kmer_count", result.frontend.count_s);
     record_stage_gauge(tracer, "kmer_filter", result.frontend.filter_s);
-    if (tracer != nullptr) {
-      tracer->metrics()
-          .counter(trace::names::kPipelineKmersDistinct)
-          .add(result.kmers_total);
-      tracer->metrics()
-          .counter(trace::names::kPipelineKmersFiltered)
-          .add(result.kmers_filtered);
-    }
+    add_counter(tracer, trace::names::kPipelineKmersDistinct,
+                result.kmers_total);
+    add_counter(tracer, trace::names::kPipelineKmersFiltered,
+                result.kmers_filtered);
     if (log != nullptr) {
       // Host wall clock stays out of the log: the log stream is part of
       // the bit-identical-at-every-thread-count contract. Timings live in
       // result.frontend and the stage gauges.
-      *log << "[pipeline] k-mer analysis: " << result.kmers_total
-           << " distinct k-mers, " << result.kmers_filtered
-           << " filtered as likely errors\n";
+      *log << front.log_prefix << " k-mer analysis" << front.ranks_note()
+           << ": " << result.kmers_total << " distinct k-mers, "
+           << result.kmers_filtered << " filtered" << front.kmer_note()
+           << "\n";
     }
 
     // Stage 2: global de Bruijn graph -> contigs.
     stage_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
     trace::AttributionProfile::Scope dbg_scope(profile, "contig_generation");
+    front.begin_stage();
     wall_t0 = StageClock::now();
-    result.contigs =
-        generate_contigs(counts, opts.contig_k, opts.min_contig_len,
-                         &result.dbg, pool.get());
+    result.contigs = front.contigs(&result.dbg, pool.get());
     result.frontend.dbg_s = stage_seconds(wall_t0);
+    front.end_stage(profile);
     record_stage(tracer, driver_track, "contig_generation", stage_t0,
                  trace::counter_args(dbg_scope.close()));
     record_stage_gauge(tracer, "contig_generation", result.frontend.dbg_s);
-    if (tracer != nullptr) {
-      tracer->metrics()
-          .counter(trace::names::kPipelineContigs)
-          .add(result.contigs.size());
-    }
+    add_counter(tracer, trace::names::kPipelineContigs, result.contigs.size());
     if (log != nullptr) {
-      *log << "[pipeline] contig generation: " << result.contigs.size()
-           << " contigs, " << bio::total_contig_bases(result.contigs)
+      *log << front.log_prefix << " contig generation: "
+           << result.contigs.size() << " contigs, "
+           << bio::total_contig_bases(result.contigs)
            << " bases, N50=" << bio::n50(result.contigs) << "\n";
     }
     checkpoint_now(0);
@@ -366,6 +389,8 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
         tracer != nullptr ? tracer->host_now_us() : 0.0;
     trace::AttributionProfile::Scope round_scope(
         profile, "k-round " + std::to_string(k));
+    front.begin_stage();
+    front.begin_round(round);
     AlignStats astats;
     const StageClock::time_point align_t0 = StageClock::now();
     core::AssemblyInput input = align_reads_to_ends(
@@ -377,49 +402,59 @@ PipelineResult run_pipeline(const bio::ReadSet& reads,
     report.mapped_reads = astats.aligned_left + astats.aligned_right;
     report.align_time_s = stage_seconds(align_t0);
     record_stage_gauge(tracer, "align", report.align_time_s);
-    if (tracer != nullptr) {
-      tracer->metrics()
-          .counter(trace::names::kPipelineReadsMapped)
-          .add(report.mapped_reads);
-    }
+    add_counter(tracer, trace::names::kPipelineReadsMapped,
+                report.mapped_reads);
 
+    core::AssemblyResult out;
     if (opts.use_reference) {
       // The reference honours the same n_threads knob as the simulator
       // (1 = serial oracle); both paths are bit-identical at any count.
-      const auto exts =
+      // It is never distributed: no modelled device or network.
+      out.extensions =
           opts.assembly.n_threads == 1
               ? core::reference_extend(input, opts.assembly)
               : core::reference_extend_parallel(input, opts.assembly,
                                                 opts.assembly.n_threads);
-      for (std::size_t i = 0; i < input.contigs.size(); ++i) {
-        report.extension_bases += exts[i].left.size() + exts[i].right.size();
-        bio::apply_extension(input.contigs[i], exts[i]);
-      }
-    } else {
-      core::AssemblyResult ar = assembler->run(input, pool.get());
-      report.extension_bases = ar.total_extension_bases();
-      report.kernel_time_s = ar.total_time_s;
-      core::LocalAssembler::apply(input, ar);
+    } else if (!front.assemble(input, out)) {
+      // One device. A device lost mid-round reruns its unfinished contigs
+      // under kRecoveryRank, so the round matches an undisturbed run.
+      out = assembler->run(input, pool.get());
+      recover_on_device(*assembler, input, out, pool.get());
+      if (front.failures != nullptr) front.failures->merge(out.failures);
     }
+    report.extension_bases = out.total_extension_bases();
+    report.kernel_time_s = out.total_time_s;
+    core::LocalAssembler::apply(input, out);
 
     result.contigs = std::move(input.contigs);
     report.contigs = result.contigs.size();
     report.total_bases = bio::total_contig_bases(result.contigs);
     report.n50 = bio::n50(result.contigs);
+    front.end_stage(profile);
     record_stage(tracer, driver_track, "k-round " + std::to_string(k),
                  round_t0, trace::counter_args(round_scope.close()));
     result.iterations.push_back(report);
     checkpoint_now(round + 1);
     if (log != nullptr) {
-      *log << "[pipeline] local assembly k=" << k << ": mapped "
-           << report.mapped_reads << " reads, +" << report.extension_bases
+      *log << front.log_prefix << " local assembly k=" << k
+           << front.ranks_note() << ": mapped " << report.mapped_reads
+           << " reads, +" << report.extension_bases
            << " bases, N50=" << report.n50
            << ", kernel time=" << report.kernel_time_s * 1e3 << " ms\n";
     }
   }
-  record_stage(tracer, driver_track, "pipeline", pipeline_t0,
+  record_stage(tracer, driver_track, front.root_span, pipeline_t0,
                trace::counter_args(pipeline_scope.close()));
   return result;
+}
+
+}  // namespace detail
+
+PipelineResult run_pipeline(const bio::ReadSet& reads,
+                            const simt::DeviceSpec& device,
+                            const PipelineOptions& opts, std::ostream* log) {
+  detail::FrontEnd front(reads, opts);
+  return detail::run_stages(device, log, front);
 }
 
 }  // namespace lassm::pipeline

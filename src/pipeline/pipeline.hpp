@@ -11,7 +11,8 @@
 
 /// The end-to-end mini-MetaHipMer pipeline (Fig. 2): k-mer analysis ->
 /// global de Bruijn contig generation -> per-iteration {alignment -> local
-/// assembly} over the production k ladder {21, 33, 55, 77}.
+/// assembly} over the production k ladder {21, 33, 55, 77}. run_pipeline
+/// and dist::run_distributed share one stage loop (pipeline/driver.hpp).
 namespace lassm::pipeline {
 
 struct PipelineOptions {
@@ -88,8 +89,9 @@ struct PipelineCheckpoint {
 /// Writes/reads a checkpoint. Text format, versioned; doubles (contig
 /// depth, modelled kernel time) round-trip bit-exactly via their IEEE bit
 /// patterns. save returns kIoError if the stream fails; load returns
-/// kParseError (with line context) on malformed/truncated input, so a
-/// checkpoint torn by a crash is rejected rather than resumed.
+/// kParseError (with record context) on malformed/truncated input, non-ACGT
+/// contig bases or a round k off the ladder, so a torn or doctored
+/// checkpoint is rejected rather than resumed.
 Status save_checkpoint(std::ostream& os, const PipelineCheckpoint& cp);
 Result<PipelineCheckpoint> load_checkpoint(std::istream& is);
 
@@ -108,6 +110,9 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path);
 /// alignment) and every round's local-assembly launches, so no stage
 /// respawns threads. Every output is bit-identical at every thread count;
 /// threads are purely a throughput knob.
+///
+/// A device lost mid-round reruns its unfinished contigs (recover_on_device)
+/// and the rerun's modelled time adds to kernel_time_s.
 PipelineResult run_pipeline(const bio::ReadSet& reads,
                             const simt::DeviceSpec& device,
                             const PipelineOptions& opts = {},

@@ -495,62 +495,37 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
   }
 
   // Device loss mid-batch: rerun the unfinished slice under the recovery
-  // rank (pipeline::kRecoveryRank, immune to further scheduled losses —
-  // the same rebalance seam run_multi_gpu_resilient uses) and splice the
-  // recovered extensions back in. Fault keys are content-derived, so the
-  // rerun is bit-identical to an undisturbed run.
-  bool recovered = false;
-  resilience::RebalanceEvent rebalance;
+  // rank (pipeline::recover_on_device, the pipeline drivers' recovery,
+  // immune to further scheduled losses) and splice the recovered
+  // extensions back in. Fault keys are content-derived, so the rerun is
+  // bit-identical to an undisturbed run.
   if (result.device_lost) {
-    {
-      std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-      ++counters_.devices_lost;
-    }
-    metrics_->counter(trace::names::kServeDevicesLost).add();
     (void)log::Logger::instance().incident(
         "serve_device_lost",
         {trace::Arg::n("completed_batches", result.completed_batches),
          trace::Arg::n("unfinished_contigs",
                        static_cast<double>(result.unfinished_contigs.size())),
          trace::Arg::n("batch_jobs", static_cast<double>(batch.size()))});
-
-    core::AssemblyInput rec_in;
-    rec_in.kmer_len = combined.kmer_len;
-    rec_in.reads.reserve_bases(combined.reads.total_bases());
-    for (std::size_t r = 0; r < combined.reads.size(); ++r) {
-      rec_in.reads.append(combined.reads.seq(r), combined.reads.qual(r));
-    }
-    for (std::uint32_t pos : result.unfinished_contigs) {
-      rec_in.contigs.push_back(combined.contigs[pos]);
-      rec_in.left_reads.push_back(combined.left_reads[pos]);
-      rec_in.right_reads.push_back(combined.right_reads[pos]);
-    }
-    core::LocalAssembler recovery(
-        cfg_.device, cfg_.pm,
-        armed_options(cfg_, plan_, pipeline::kRecoveryRank));
-    core::AssemblyResult rec = recovery.run(rec_in, engine_.get());
-    if (rec.device_lost) {
+    try {
+      pipeline::recover_on_device(assembler_, combined, result,
+                                  engine_.get());
+    } catch (const StatusError& e) {
       // The recovery rank cannot be scheduled for loss by parse()d plans;
       // a hand-built plan targeting it fails the whole batch, typed.
-      for (Job& job : batch) {
-        finish_failed(job, Error(ErrorCode::kDeviceLost,
-                                 "device lost during recovery rerun"));
+      {
+        std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+        ++counters_.devices_lost;
       }
+      metrics_->counter(trace::names::kServeDevicesLost).add();
+      for (Job& job : batch) finish_failed(job, e.error());
       return;
     }
-    for (std::size_t i = 0; i < result.unfinished_contigs.size(); ++i) {
-      result.extensions[result.unfinished_contigs[i]] = rec.extensions[i];
-    }
-    result.failures.merge(rec.failures);
-    rebalance.lost_rank = assembler_.options().fault_rank;
-    rebalance.after_batch = result.completed_batches;
-    rebalance.moved_contigs = result.unfinished_contigs.size();
-    rebalance.survivors = {pipeline::kRecoveryRank};
-    recovered = true;
   }
-  if (cfg_.ranks > 1 && !result.failures.rebalances.empty()) {
-    // Multi-rank dispatch recovered one or more lost ranks internally;
-    // surface the loss the same way the single-device rerun path does.
+  // Either path recovered its lost devices (multi-rank dispatch does it
+  // internally); surface the losses the same way.
+  const bool recovered = !result.failures.rebalances.empty();
+  resilience::RebalanceEvent rebalance;
+  if (recovered) {
     {
       std::lock_guard<std::mutex> counters_lock(counters_mutex_);
       counters_.devices_lost += result.failures.devices_lost;
@@ -558,7 +533,6 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
     metrics_->counter(trace::names::kServeDevicesLost)
         .add(result.failures.devices_lost);
     rebalance = result.failures.rebalances.front();
-    recovered = true;
   }
 
   // Split extensions back out per job and attribute quarantined faults by

@@ -102,9 +102,8 @@ TEST(Checkpoint, RejectsTruncatedAndCorruptStreams) {
   const std::string text = full.str();
 
   // Truncations at every prefix must be rejected (missing end marker or
-  // earlier), never half-loaded.
-  for (std::size_t len : {std::size_t{0}, text.size() / 4, text.size() / 2,
-                          text.size() - 2}) {
+  // earlier), never half-loaded. Only the final newline may be missing.
+  for (std::size_t len = 0; len + 1 < text.size(); ++len) {
     std::istringstream is(text.substr(0, len));
     auto r = load_checkpoint(is);
     EXPECT_FALSE(r.is_ok()) << "accepted a " << len << "-byte prefix";
@@ -124,6 +123,34 @@ TEST(Checkpoint, RejectsTruncatedAndCorruptStreams) {
   bad.replace(pos, 13, "rounds_done 9");
   std::istringstream is(bad);
   EXPECT_FALSE(load_checkpoint(is).is_ok());
+
+  // Records that parse but cannot be real: a contig with non-ACGT bases,
+  // and a round whose k is not the ladder's k for that round.
+  const auto expect_parse_error = [](const std::string& doctored) {
+    std::istringstream in(doctored);
+    auto r = load_checkpoint(in);
+    ASSERT_FALSE(r.is_ok()) << doctored;
+    EXPECT_EQ(r.error().code(), ErrorCode::kParseError);
+  };
+  std::string bad_base = text;
+  bad_base.replace(bad_base.find(" ACGT\n"), 6, " ZZZZ\n");
+  expect_parse_error(bad_base);
+
+  PipelineCheckpoint one_round = cp;
+  one_round.k_iterations = {21, 33};
+  one_round.rounds_done = 1;
+  IterationReport it;
+  it.k = 21;
+  one_round.iterations.push_back(it);
+  std::stringstream rounds;
+  ASSERT_TRUE(save_checkpoint(rounds, one_round));
+  std::istringstream good(rounds.str());
+  ASSERT_TRUE(load_checkpoint(good).is_ok());
+  std::string bad_k = rounds.str();
+  const auto iter_pos = bad_k.find("iterations 1\n21 ");
+  ASSERT_NE(iter_pos, std::string::npos);
+  bad_k.replace(iter_pos, 16, "iterations 1\n99 ");
+  expect_parse_error(bad_k);
 }
 
 TEST(Checkpoint, MissingFileIsIoErrorNotParseError) {

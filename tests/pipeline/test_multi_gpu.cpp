@@ -185,6 +185,29 @@ TEST(MultiGpuResilient, MultipleLossesRecoverOntoTheLastSurvivor) {
   }
 }
 
+TEST(MultiGpuResilient, IdleDevicesCountAsSurvivors) {
+  // One contig on two devices leaves device 1 idle. Losing device 0 must
+  // recover onto it instead of reporting that every rank was lost.
+  const auto in = dataset(1);
+  resilience::FaultPlan plan(4);
+  plan.add_device_loss(/*rank=*/0, /*after_batch=*/1);
+  const auto r = run_multi_gpu_resilient(in, a100s(2), {}, &plan);
+
+  core::LocalAssembler single(simt::DeviceSpec::a100());
+  expect_same_extensions(r.extensions, single.run(in).extensions);
+  ASSERT_EQ(r.ranks.size(), 2U);
+  EXPECT_TRUE(r.ranks[0].lost);
+  EXPECT_FALSE(r.ranks[1].lost);
+  EXPECT_EQ(r.ranks[1].contigs, 0U);
+  EXPECT_EQ(r.failures.devices_lost, 1U);
+  ASSERT_EQ(r.failures.rebalances.size(), 1U);
+  EXPECT_EQ(r.failures.rebalances[0].lost_rank, 0U);
+  EXPECT_EQ(r.failures.rebalances[0].moved_contigs, 1U);
+  EXPECT_EQ(r.failures.rebalances[0].survivors,
+            (std::vector<std::uint32_t>{1U}));
+  EXPECT_GT(r.ranks[1].time_s, 0.0);  // the recovery ran on device 1
+}
+
 TEST(MultiGpuResilient, AllRanksLostThrowsDeviceLost) {
   const auto in = dataset(20);
   resilience::FaultPlan plan(2);
