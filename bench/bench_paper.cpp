@@ -270,7 +270,7 @@ void table7_alg_efficiency(const model::StudyResults& study) {
 }
 
 // Figure 5: kernel execution time comparison across devices and k-mer
-// sizes (grouped bars + CSV, with each cell's host wall-clock and MTasks/s).
+// sizes (grouped bars + CSV).
 void fig5_kernel_time(const model::StudyResults& study) {
   print_banner(std::cout, "Figure 5: kernel execution time", study);
 
@@ -283,14 +283,13 @@ void fig5_kernel_time(const model::StudyResults& study) {
 
   model::CsvWriter csv = bench::bench_csv(
       "fig5_kernel_time",
-      {"device", "model", "k", "time_ms", "wall_s", "mtasks_per_s"});
+      {"device", "model", "k", "time_ms"});
   for (const auto& dev : study.devices) {
     std::vector<double> times;
     for (std::uint32_t k : study.config.ks) {
       const auto& c = study.cell(dev.vendor, k);
       times.push_back(c.time_s * 1e3);
-      csv.row(dev.name, simt::model_name(c.pm), k, c.time_s * 1e3, c.wall_s,
-              c.mtasks_per_s());
+      csv.row(dev.name, simt::model_name(c.pm), k, c.time_s * 1e3);
     }
     chart.add_series(simt::vendor_name(dev.vendor), times);
   }

@@ -185,17 +185,22 @@ int main(int argc, char** argv) {
   for (const auto& it : result.iterations) kernel_ms += it.kernel_time_s * 1e3;
   std::cout << "  modelled GPU kernel time across iterations: " << kernel_ms
             << " ms\n";
-  // Host per-stage wall clock goes to stderr: stdout is byte-identical at
-  // every thread count (the repo's determinism spot-check), wall clock is
-  // not. The same numbers land on the pipeline.stage_seconds.* gauges
-  // with --metrics.
-  double align_ms = 0;
-  for (const auto& it : result.iterations) align_ms += it.align_time_s * 1e3;
-  std::cerr << "  host front-end wall clock: "
-            << result.frontend.count_s * 1e3 << " ms count, "
-            << result.frontend.filter_s * 1e3 << " ms filter, "
-            << result.frontend.dbg_s * 1e3 << " ms contigs, " << align_ms
-            << " ms align\n";
+  // With a tracer, the host stage split (the pipeline.stage_seconds.*
+  // gauges) goes to stderr: stdout is byte-identical at every thread count
+  // (the repo's determinism spot-check), wall clock is not.
+  if (tracer != nullptr) {
+    const auto stage_ms = [&](const char* stage) {
+      return tracer->metrics()
+                 .gauge(std::string(trace::names::kPipelineStageSecondsPrefix) +
+                        stage)
+                 .value() *
+             1e3;
+    };
+    std::cerr << "  host front-end wall clock: " << stage_ms("kmer_count")
+              << " ms count, " << stage_ms("kmer_filter") << " ms filter, "
+              << stage_ms("contig_generation") << " ms contigs, "
+              << stage_ms("align") << " ms align\n";
+  }
 
   std::ofstream fasta("assembly.fasta");
   bio::write_fasta(fasta, result.contigs);

@@ -119,10 +119,11 @@ class RankFleet final : public pipeline::detail::FrontEnd {
                 core::AssemblyResult& out) override {
     const std::vector<std::uint32_t> live = map_.live_ranks();
     if (live.size() == 1) {
-      // One live rank: the exact single-device call run_pipeline makes
-      // (the multi-GPU path would LPT-reorder the contig list, which
-      // changes modelled batch overlap and so kernel_time_s — results
-      // stay identical but the R=1 anchor pins the time bits too).
+      // One live rank: the exact single-device call run_pipeline makes,
+      // as the survivor (device_rank). The multi-GPU path would LPT-reorder
+      // the contig list, which changes modelled batch overlap and so
+      // kernel_time_s — results stay identical but the R=1 anchor pins
+      // the time bits too.
       return false;
     }
 
@@ -183,6 +184,10 @@ class RankFleet final : public pipeline::detail::FrontEnd {
     out.extensions = std::move(mgr.extensions);
     out.total_time_s = mgr.makespan_s;
     return true;
+  }
+
+  std::uint32_t device_rank() const override {
+    return map_.live_ranks().front();
   }
 
   std::string ranks_note() const override {

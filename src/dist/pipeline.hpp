@@ -28,7 +28,8 @@
 /// (the FaultPlan rank_loss seam at phase boundaries, or device_loss
 /// mid-round) recovers bit-identically: survivors adopt the lost rank's
 /// shard range and recount the orphaned shards from the full read set. A
-/// device lost while one rank is live recovers as in run_pipeline.
+/// round with one live rank runs as that rank's device, and recovers from
+/// its loss as in run_pipeline.
 namespace lassm::dist {
 
 struct DistOptions {
@@ -52,8 +53,8 @@ struct DistRankReport {
 
 struct DistResult {
   /// Bit-identical to run_pipeline's result on the same reads/device/
-  /// options (wall-clock FrontendTimings and align_time_s excepted — those
-  /// measure this run).
+  /// options, except that a round on more than one live rank reports the
+  /// modelled makespan over those ranks as its kernel_time_s.
   pipeline::PipelineResult pipeline;
   std::vector<DistRankReport> ranks;   ///< indexed by rank id
   TrafficStats traffic;                ///< whole-run message accounting

@@ -1,7 +1,6 @@
 #include "model/study.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -38,14 +37,9 @@ StudyCell run_cell(const simt::DeviceSpec& dev, simt::ProgrammingModel pm,
                    const core::AssemblyInput& input,
                    const core::AssemblyOptions& opts) {
   core::LocalAssembler assembler(dev, pm, opts);
-  const auto wall_start = std::chrono::steady_clock::now();
   const core::AssemblyResult r = assembler.run(input);
-  const auto wall_end = std::chrono::steady_clock::now();
 
   StudyCell cell;
-  cell.wall_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  cell.num_warps = r.stats.num_warps;
   cell.device_name = dev.name;
   cell.vendor = dev.vendor;
   cell.pm = pm;

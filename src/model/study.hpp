@@ -61,15 +61,6 @@ struct StudyCell {
   std::uint64_t walk_steps = 0;
   std::uint64_t mer_retries = 0;
   std::uint64_t extension_bases = 0;
-
-  double wall_s = 0.0;         ///< host wall-clock of the simulated run
-  std::uint64_t num_warps = 0; ///< warp tasks executed (for MTasks/s)
-
-  /// Host-side simulation throughput in millions of warp tasks per second.
-  double mtasks_per_s() const noexcept {
-    return wall_s <= 0.0 ? 0.0
-                         : static_cast<double>(num_warps) / wall_s / 1e6;
-  }
 };
 
 struct StudyResults {

@@ -13,9 +13,9 @@ class AttributionProfile;
 /// Private seam between the one pipeline driver and its two front ends.
 /// run_stages owns the Fig. 2 stage sequence for run_pipeline and
 /// dist::run_distributed alike: pool and assembler, driver track, spans,
-/// attribution scopes, FrontendTimings, align_time_s, stage gauges,
-/// pipeline.* counters, log lines, checkpointing and the k-round loop with
-/// its reference path, single-device round and IterationReport.
+/// attribution scopes, stage gauges, pipeline.* counters, log lines,
+/// checkpointing and the k-round loop with its reference path,
+/// single-device round and IterationReport.
 namespace lassm::pipeline::detail {
 
 /// The stages that differ between one rank and a rank fleet. The base
@@ -55,6 +55,10 @@ class FrontEnd {
   virtual bool assemble(const core::AssemblyInput& /*input*/,
                         core::AssemblyResult& /*out*/) {
     return false;
+  }
+  /// The fault-plan rank the single-device round runs as.
+  virtual std::uint32_t device_rank() const {
+    return opts.assembly.fault_rank;
   }
 
   /// Log text after "k-mer analysis" / "local assembly k=K", and after the

@@ -1,7 +1,6 @@
 #include "pipeline/pipeline.hpp"
 
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -51,21 +50,15 @@ void record_stage(trace::Tracer* tracer, std::uint32_t track,
   tracer->record(std::move(e));
 }
 
-/// Host wall clock for the per-stage timing fields (always measured — two
-/// clock reads per stage — unlike the tracer spans, which need tracing on).
-using StageClock = std::chrono::steady_clock;
-
-double stage_seconds(StageClock::time_point t0) {
-  return std::chrono::duration<double>(StageClock::now() - t0).count();
-}
-
-/// Mirrors one stage's wall clock onto its metrics gauge when tracing.
+/// Sets one stage's pipeline.stage_seconds.* gauge from two readings of
+/// the tracer's host clock; a no-op when tracing is off. These gauges are
+/// the library's only record of per-stage host time.
 void record_stage_gauge(trace::Tracer* tracer, const char* stage,
-                        double seconds) {
+                        double t0_us, double t1_us) {
   if (tracer == nullptr) return;
   tracer->metrics()
       .gauge(std::string(trace::names::kPipelineStageSecondsPrefix) + stage)
-      .set(seconds);
+      .set((t1_us - t0_us) * 1e-6);
 }
 
 void add_counter(trace::Tracer* tracer, const char* name, std::uint64_t n) {
@@ -248,8 +241,11 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
   trace::Tracer* const tracer = opts.assembly.trace;
   const std::uint32_t driver_track =
       tracer != nullptr ? tracer->track("host", front.track) : 0;
-  const double pipeline_t0 =
-      tracer != nullptr ? tracer->host_now_us() : 0.0;
+  // The tracer's host clock; never read when tracing is off.
+  const auto now_us = [tracer] {
+    return tracer != nullptr ? tracer->host_now_us() : 0.0;
+  };
+  const double pipeline_t0 = now_us();
 
   // Stage-level counter attribution: the root node parents every stage
   // node, and each k-round parents the assembler's per-launch tree, so the
@@ -332,20 +328,18 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
 
   if (!resumed) {
     // Stage 1: k-mer analysis with error filtering.
-    double stage_t0 = pipeline_t0;
     trace::AttributionProfile::Scope kmer_scope(profile, "kmer_analysis");
     front.begin_stage();
-    StageClock::time_point wall_t0 = StageClock::now();
+    const double count_t0 = now_us();
     result.kmers_total = front.count(pool.get());
-    result.frontend.count_s = stage_seconds(wall_t0);
-    wall_t0 = StageClock::now();
+    const double filter_t0 = now_us();
     result.kmers_filtered = front.filter(pool.get());
-    result.frontend.filter_s = stage_seconds(wall_t0);
+    const double filter_t1 = now_us();
     front.end_stage(profile);
-    record_stage(tracer, driver_track, "kmer_analysis", stage_t0,
+    record_stage(tracer, driver_track, "kmer_analysis", pipeline_t0,
                  trace::counter_args(kmer_scope.close()));
-    record_stage_gauge(tracer, "kmer_count", result.frontend.count_s);
-    record_stage_gauge(tracer, "kmer_filter", result.frontend.filter_s);
+    record_stage_gauge(tracer, "kmer_count", count_t0, filter_t0);
+    record_stage_gauge(tracer, "kmer_filter", filter_t0, filter_t1);
     add_counter(tracer, trace::names::kPipelineKmersDistinct,
                 result.kmers_total);
     add_counter(tracer, trace::names::kPipelineKmersFiltered,
@@ -353,7 +347,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     if (log != nullptr) {
       // Host wall clock stays out of the log: the log stream is part of
       // the bit-identical-at-every-thread-count contract. Timings live in
-      // result.frontend and the stage gauges.
+      // the stage gauges.
       *log << front.log_prefix << " k-mer analysis" << front.ranks_note()
            << ": " << result.kmers_total << " distinct k-mers, "
            << result.kmers_filtered << " filtered" << front.kmer_note()
@@ -361,16 +355,14 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     }
 
     // Stage 2: global de Bruijn graph -> contigs.
-    stage_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
+    const double dbg_t0 = now_us();
     trace::AttributionProfile::Scope dbg_scope(profile, "contig_generation");
     front.begin_stage();
-    wall_t0 = StageClock::now();
     result.contigs = front.contigs(&result.dbg, pool.get());
-    result.frontend.dbg_s = stage_seconds(wall_t0);
     front.end_stage(profile);
-    record_stage(tracer, driver_track, "contig_generation", stage_t0,
+    record_stage(tracer, driver_track, "contig_generation", dbg_t0,
                  trace::counter_args(dbg_scope.close()));
-    record_stage_gauge(tracer, "contig_generation", result.frontend.dbg_s);
+    record_stage_gauge(tracer, "contig_generation", dbg_t0, now_us());
     add_counter(tracer, trace::names::kPipelineContigs, result.contigs.size());
     if (log != nullptr) {
       *log << front.log_prefix << " contig generation: "
@@ -382,17 +374,18 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
   }
 
   // Stage 3: iterative {alignment -> local assembly} over the k ladder.
+  // The align gauge sums this run's rounds.
+  double align_us = 0.0;
   for (std::size_t round = rounds_done; round < opts.k_iterations.size();
        ++round) {
     const std::uint32_t k = opts.k_iterations[round];
-    const double round_t0 =
-        tracer != nullptr ? tracer->host_now_us() : 0.0;
+    const double round_t0 = now_us();
     trace::AttributionProfile::Scope round_scope(
         profile, "k-round " + std::to_string(k));
     front.begin_stage();
     front.begin_round(round);
     AlignStats astats;
-    const StageClock::time_point align_t0 = StageClock::now();
+    const double align_t0 = now_us();
     core::AssemblyInput input = align_reads_to_ends(
         std::move(result.contigs), reads, k, opts.aligner, &astats,
         pool.get());
@@ -400,8 +393,8 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     IterationReport report;
     report.k = k;
     report.mapped_reads = astats.aligned_left + astats.aligned_right;
-    report.align_time_s = stage_seconds(align_t0);
-    record_stage_gauge(tracer, "align", report.align_time_s);
+    align_us += now_us() - align_t0;
+    record_stage_gauge(tracer, "align", 0.0, align_us);
     add_counter(tracer, trace::names::kPipelineReadsMapped,
                 report.mapped_reads);
 
@@ -416,10 +409,14 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
               : core::reference_extend_parallel(input, opts.assembly,
                                                 opts.assembly.n_threads);
     } else if (!front.assemble(input, out)) {
-      // One device. A device lost mid-round reruns its unfinished contigs
-      // under kRecoveryRank, so the round matches an undisturbed run.
-      out = assembler->run(input, pool.get());
-      recover_on_device(*assembler, input, out, pool.get());
+      // One device, run as front.device_rank(). A device lost mid-round
+      // reruns its unfinished contigs under kRecoveryRank, so the round
+      // matches an undisturbed run.
+      core::AssemblyOptions as_rank = opts.assembly;
+      as_rank.fault_rank = front.device_rank();
+      const core::LocalAssembler one(device, as_rank);
+      out = one.run(input, pool.get());
+      recover_on_device(one, input, out, pool.get());
       if (front.failures != nullptr) front.failures->merge(out.failures);
     }
     report.extension_bases = out.total_extension_bases();

@@ -46,20 +46,6 @@ struct IterationReport {
   std::uint64_t mapped_reads = 0;
   std::uint64_t extension_bases = 0;
   double kernel_time_s = 0.0;  ///< modelled device time (0 for reference)
-  /// Host wall-clock seconds of this round's alignment stage.
-  /// Observability only (machine-dependent, unlike the modelled numbers):
-  /// not checkpointed, so rounds restored by a resume report 0.
-  double align_time_s = 0.0;
-};
-
-/// Host wall-clock seconds of the pre-round front-end stages; measured on
-/// every run and mirrored onto the trace metrics gauges when tracing.
-/// Observability only — not checkpointed (a resumed run reports 0 for the
-/// stages it skipped).
-struct FrontendTimings {
-  double count_s = 0.0;   ///< k-mer counting
-  double filter_s = 0.0;  ///< low-count filter
-  double dbg_s = 0.0;     ///< de Bruijn contig generation
 };
 
 struct PipelineResult {
@@ -67,7 +53,6 @@ struct PipelineResult {
   DbgStats dbg;
   std::uint64_t kmers_total = 0;
   std::uint64_t kmers_filtered = 0;
-  FrontendTimings frontend;
   std::vector<IterationReport> iterations;
 };
 
@@ -113,6 +98,9 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path);
 ///
 /// A device lost mid-round reruns its unfinished contigs (recover_on_device)
 /// and the rerun's modelled time adds to kernel_time_s.
+///
+/// The result holds no host time. With assembly.trace set, each stage's
+/// host seconds land on the pipeline.stage_seconds.* gauges.
 PipelineResult run_pipeline(const bio::ReadSet& reads,
                             const simt::DeviceSpec& device,
                             const PipelineOptions& opts = {},

@@ -54,9 +54,10 @@ inline constexpr const char* kExecClaims = "exec.claims";
 inline constexpr const char* kExecSteals = "exec.steals";
 
 /// Pipeline front-end (k-mer analysis, contig generation, alignment):
-/// stage outputs as counters, host wall clock per stage as gauges on
-/// "pipeline.stage_seconds.<stage>" (stages: kmer_count, kmer_filter,
-/// contig_generation, align).
+/// stage outputs as counters, host seconds per stage (on the tracer's
+/// clock) as gauges on "pipeline.stage_seconds.<stage>" (stages:
+/// kmer_count, kmer_filter, contig_generation, and align summed over the
+/// run's k-rounds).
 inline constexpr const char* kPipelineKmersDistinct =
     "pipeline.kmers_distinct";
 inline constexpr const char* kPipelineKmersFiltered =

@@ -59,7 +59,6 @@ const bio::ReadSet& workload_reads() {
 /// field for field. kernel_time_s is the per-round modelled makespan over
 /// the live devices, so it only matches the 1-rank oracle when the run
 /// actually had one rank — pass `compare_kernel_time` accordingly.
-/// Wall-clock fields (FrontendTimings, align_time_s) are never compared.
 void expect_same_pipeline(const pipeline::PipelineResult& got,
                           const pipeline::PipelineResult& want,
                           bool compare_kernel_time) {
@@ -364,6 +363,33 @@ TEST(DistPipeline, MidRoundDeviceLossAdoptsShardsForLaterRounds) {
   std::uint64_t shards_sum = 0;
   for (const DistRankReport& rep : r.ranks) shards_sum += rep.shards;
   EXPECT_EQ(shards_sum, ShardMap::kShards);
+}
+
+TEST(DistPipeline, OneLiveRankRoundRunsAsTheSurvivor) {
+  // device_loss=0@1 on 2 ranks: rank 0 dies mid-round at k=21, so rank 1
+  // runs k=33 alone. That round runs as rank 1, so the plan's rank-0 loss
+  // does not fire a second time on the survivor.
+  const bio::ReadSet& reads = workload_reads();
+  const auto device = simt::DeviceSpec::a100();
+  pipeline::PipelineOptions popts = base_options();
+  popts.k_iterations = {21, 33};
+  const pipeline::PipelineResult clean =
+      pipeline::run_pipeline(reads, device, popts);
+
+  resilience::FaultPlan plan(11);
+  plan.add_device_loss(/*rank=*/0, /*after_batch=*/1);
+  DistOptions opts;
+  opts.ranks = 2;
+  opts.pipeline = popts;
+  opts.pipeline.assembly.fault_plan = &plan;
+  const DistResult r = run_distributed(reads, device, opts);
+
+  expect_same_pipeline(r.pipeline, clean, /*compare_kernel_time=*/false);
+  EXPECT_TRUE(r.ranks[0].lost);
+  EXPECT_FALSE(r.ranks[1].lost);
+  EXPECT_EQ(r.failures.devices_lost, 1U);
+  ASSERT_EQ(r.failures.rebalances.size(), 1U);
+  EXPECT_EQ(r.failures.rebalances.front().lost_rank, 0U);
 }
 
 TEST(DistPipeline, SingleDeviceLossRecoversInBothDrivers) {
