@@ -1,8 +1,9 @@
 // CPU baseline: wall-clock of the serial reference implementation against
 // the modelled GPU kernel time (the paper cites a ~7x speed-up from moving
-// local assembly to the GPU [4]).
+// local assembly to the GPU [4]). The reference runs inside a trace::Span,
+// whose attribution node's host_s is the CPU time reported; cpu_ms and
+// speedup are therefore host time and differ from run to run.
 
-#include <chrono>
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -11,6 +12,7 @@
 #include "model/ascii_plot.hpp"
 #include "model/csv.hpp"
 #include "model/study.hpp"
+#include "trace/trace.hpp"
 #include "workload/dataset.hpp"
 
 int main() {
@@ -35,12 +37,13 @@ int main() {
         100, static_cast<std::uint32_t>(p.num_reads * cfg.scale));
     const auto in = workload::generate_dataset(p, cfg.seed);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto ref = core::reference_extend(in);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double cpu_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    (void)ref;
+    trace::Tracer tracer;
+    {
+      const trace::Span span(&tracer, tracer.track("host", "cpu"),
+                             "reference_extend");
+      (void)core::reference_extend(in);
+    }
+    const double cpu_ms = tracer.attribution().nodes().front().host_s * 1e3;
 
     core::LocalAssembler assembler(simt::DeviceSpec::a100());
     const double gpu_ms = assembler.run(in).total_time_s * 1e3;

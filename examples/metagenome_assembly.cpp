@@ -185,16 +185,17 @@ int main(int argc, char** argv) {
   for (const auto& it : result.iterations) kernel_ms += it.kernel_time_s * 1e3;
   std::cout << "  modelled GPU kernel time across iterations: " << kernel_ms
             << " ms\n";
-  // With a tracer, the host stage split (the pipeline.stage_seconds.*
-  // gauges) goes to stderr: stdout is byte-identical at every thread count
-  // (the repo's determinism spot-check), wall clock is not.
+  // With a tracer, the host stage split (host_s of the attribution tree's
+  // layer nodes, align summed over the k-rounds) goes to stderr: stdout is
+  // byte-identical at every thread count (the repo's determinism
+  // spot-check), wall clock is not.
   if (tracer != nullptr) {
     const auto stage_ms = [&](const char* stage) {
-      return tracer->metrics()
-                 .gauge(std::string(trace::names::kPipelineStageSecondsPrefix) +
-                        stage)
-                 .value() *
-             1e3;
+      double s = 0.0;
+      for (const trace::AttributionNode& n : tracer->attribution().nodes()) {
+        if (n.name == stage) s += n.host_s;
+      }
+      return s * 1e3;
     };
     std::cerr << "  host front-end wall clock: " << stage_ms("kmer_count")
               << " ms count, " << stage_ms("kmer_filter") << " ms filter, "

@@ -13,8 +13,9 @@
 # trace/metrics/profile/flight JSON with python3 -m json.tool. Last, it
 # runs the whole pipeline on 4 ranks at 1 and 4 host threads (stdout
 # must match byte for byte) and once traced (trace and metrics JSON
-# must parse, and the metrics must hold all four non-negative
-# pipeline.stage_seconds.* gauges).
+# must parse, and the trace must hold complete kmer_count, kmer_filter,
+# contig_generation and align span events with dur >= 0 on the
+# dist-driver track).
 # Leg 2 (ASan+UBSan): rebuilds with AddressSanitizer + UBSan and runs the
 # parser fuzz corpus, the fault matrix, the checkpoint suite, the
 # serving suite with its 10k-job fault-storm soak gate (every job must be
@@ -141,8 +142,9 @@ echo "check.sh: flight recorder dumps present and valid."
 # (sharded count, DBG, per-round alignment and the per-rank device fleet)
 # on a live pool under the race detector. Stdout carries no wall clock,
 # so the 1- and 4-thread runs must print the same bytes; the traced run's
-# trace and metrics must be valid JSON, with every stage gauge. The example writes assembly.fasta
-# to its working directory, so the runs start inside the build tree.
+# trace and metrics must be valid JSON, with every layer's span event.
+# The example writes assembly.fasta to its working directory, so the runs
+# start inside the build tree.
 (
   cd "$BUILD"
   TSAN_OPTIONS="halt_on_error=1" \
@@ -156,18 +158,26 @@ echo "check.sh: flight recorder dumps present and valid."
     > /dev/null
   python3 -m json.tool check_dist_trace.json > /dev/null
   python3 -m json.tool check_dist_metrics.json > /dev/null
-  # The stage gauges are the library's only per-stage host clock: each
-  # must be present and non-negative.
-  python3 - check_dist_metrics.json <<'EOF'
+  # The driver's spans are the library's per-layer host clock: each layer
+  # must have a complete event with a non-negative duration on the
+  # dist-driver track.
+  python3 - check_dist_trace.json <<'EOF'
 import json, sys
-gauges = json.load(open(sys.argv[1]))["gauges"]
-for stage in ("kmer_count", "kmer_filter", "contig_generation", "align"):
-    v = gauges.get("pipeline.stage_seconds." + stage)
-    if not isinstance(v, (int, float)) or v < 0:
-        sys.exit(f"check.sh: FAIL - gauge pipeline.stage_seconds.{stage} is {v!r}")
+events = json.load(open(sys.argv[1]))["traceEvents"]
+driver = {(e["pid"], e["tid"]) for e in events
+          if e.get("ph") == "M" and e.get("name") == "thread_name"
+          and e["args"]["name"] == "dist-driver"}
+durs = {}
+for e in events:
+    if e.get("ph") == "X" and (e["pid"], e["tid"]) in driver:
+        durs.setdefault(e["name"], []).append(e["dur"])
+for layer in ("kmer_count", "kmer_filter", "contig_generation", "align"):
+    d = durs.get(layer)
+    if not d or min(d) < 0:
+        sys.exit(f"check.sh: FAIL - dist-driver span {layer} has durations {d!r}")
 EOF
 )
-echo "check.sh: distributed pipeline stdout thread-invariant; trace/metrics JSON valid; stage gauges present."
+echo "check.sh: distributed pipeline stdout thread-invariant; trace/metrics JSON valid; layer spans present."
 
 echo "check.sh: TSan run clean."
 

@@ -324,13 +324,13 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
   const std::uint32_t driver_track =
       tracer != nullptr ? tracer->track("host", "driver") : 0;
 
-  // Counter attribution mirrors the span hierarchy: one "assembly" node
-  // per run, one node per side, one per launch — all opened/closed on the
+  // Counter attribution mirrors the span hierarchy: one "assembly" span
+  // per run, one per side, one per launch — all opened/closed on the
   // driver thread, fed from the post-barrier merged counters, so it can
   // never perturb modelled numbers.
   trace::AttributionProfile* const profile =
       tracer != nullptr ? &tracer->attribution() : nullptr;
-  trace::AttributionProfile::Scope run_scope(profile, "assembly");
+  const trace::Span run_span(tracer, driver_track, "assembly");
 
   // Launch ordinals for the device-loss seam: each completed (side, batch)
   // launch counts one; a scheduled loss fires between launches, exactly
@@ -342,17 +342,16 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
     if (lost) break;
     const bio::ReadSet& reads = side == Side::kRight ? in.reads : rc_reads;
     if (side == Side::kLeft && !any_left) continue;
-    const double side_t0 = tracer != nullptr ? tracer->host_now_us() : 0.0;
-    trace::AttributionProfile::Scope side_scope(
-        profile, std::string("side ") + side_name(side));
+    const trace::Span side_span(tracer, driver_track,
+                                std::string("side ") + side_name(side));
 
     for (std::uint32_t b = 0; b < batches.size(); ++b) {
       const Batch& batch = batches[b];
       const std::size_t n_tasks = batch.contig_ids.size();
       const BatchLayout lay = layout_batch(in, batch, opts_, side, reads);
-      trace::AttributionProfile::Scope launch_scope(
-          profile, std::string("launch ") + side_name(side) + " batch " +
-                       std::to_string(b));
+      trace::Span launch_span(tracer, driver_track,
+                              std::string("launch ") + side_name(side) +
+                                  " batch " + std::to_string(b));
 
       const std::uint64_t concurrency = std::max<std::uint64_t>(
           std::min<std::uint64_t>(n_tasks, dev_.max_concurrent_warps()), 1);
@@ -419,8 +418,6 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
         process_attempt(pos, ctx, 0);
       };
 
-      const double launch_t0 =
-          tracer != nullptr ? tracer->host_now_us() : 0.0;
       const std::size_t faults_before = result.failures.faults.size();
       if (armed) {
         // Isolated path: a throwing task (injected or organic) quarantines
@@ -445,20 +442,15 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
           for (std::size_t f = faults_before;
                f < result.failures.faults.size(); ++f) {
             const resilience::TaskFault& tf = result.failures.faults[f];
-            trace::Event fe;
-            fe.kind = trace::Event::Kind::kInstant;
-            fe.track = driver_track;
-            fe.name = tf.quarantined ? "task quarantined" : "task retried";
-            fe.cat = "resilience";
-            fe.ts_us = tracer->host_now_us();
-            fe.args = {
-                trace::Arg::n("fault_key",
-                              static_cast<double>(tf.fault_key)),
-                trace::Arg::n("batch", static_cast<double>(tf.batch)),
-                trace::Arg::n("attempts", tf.attempts),
-                trace::Arg::s("code", error_code_name(tf.code)),
-            };
-            tracer->record(std::move(fe));
+            tracer->instant(
+                driver_track,
+                tf.quarantined ? "task quarantined" : "task retried",
+                "resilience",
+                {trace::Arg::n("fault_key",
+                               static_cast<double>(tf.fault_key)),
+                 trace::Arg::n("batch", static_cast<double>(tf.batch)),
+                 trace::Arg::n("attempts", tf.attempts),
+                 trace::Arg::s("code", error_code_name(tf.code))});
           }
         }
       }
@@ -478,17 +470,8 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
       if (profile != nullptr) {
         profile->add(counter_vector(launch.stats, launch.time.total_s));
       }
-      const trace::CounterVector launch_cv = launch_scope.close();
+      const trace::CounterVector launch_cv = launch_span.close();
       if (tracer != nullptr) {
-        trace::Event he;
-        he.track = driver_track;
-        he.name = std::string("launch ") + side_name(side) + " batch " +
-                  std::to_string(b);
-        he.cat = "host";
-        he.ts_us = launch_t0;
-        he.dur_us = tracer->host_now_us() - launch_t0;
-        he.args = trace::counter_args(launch_cv);
-        tracer->record(std::move(he));
         emit_launch_trace(*tracer, dev_, launch, outcomes, launch_cv);
       }
       result.stats.merge(launch.stats);
@@ -509,32 +492,12 @@ AssemblyResult LocalAssembler::run(const AssemblyInput& in,
              trace::Arg::n("rank", opts_.fault_rank),
              trace::Arg::n("after_batch", batch_ordinal)});
         if (tracer != nullptr) {
-          trace::Event de;
-          de.kind = trace::Event::Kind::kInstant;
-          de.track = driver_track;
-          de.name = "device lost";
-          de.cat = "resilience";
-          de.ts_us = tracer->host_now_us();
-          de.args = {
-              trace::Arg::n("rank", opts_.fault_rank),
-              trace::Arg::n("after_batch", batch_ordinal),
-          };
-          tracer->record(std::move(de));
+          tracer->instant(driver_track, "device lost", "resilience",
+                          {trace::Arg::n("rank", opts_.fault_rank),
+                           trace::Arg::n("after_batch", batch_ordinal)});
         }
         break;
       }
-    }
-
-    const trace::CounterVector side_cv = side_scope.close();
-    if (tracer != nullptr) {
-      trace::Event se;
-      se.track = driver_track;
-      se.name = std::string("side ") + side_name(side);
-      se.cat = "host";
-      se.ts_us = side_t0;
-      se.dur_us = tracer->host_now_us() - side_t0;
-      se.args = trace::counter_args(side_cv);
-      tracer->record(std::move(se));
     }
   }
   // Batches are offloaded asynchronously (the MetaHipMer GPU driver keeps

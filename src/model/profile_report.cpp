@@ -37,6 +37,8 @@ void dfs(const std::vector<trace::AttributionNode>& nodes, std::size_t i,
   row.depth = n.depth;
   row.total = n.total;
   row.self = trace::self_cost(nodes, i);
+  row.host_s = n.host_s;
+  row.self_host_s = trace::self_host_s(nodes, i);
   place_on_roofline(row, dev);
   const std::string child_prefix = row.path;
   out.push_back(std::move(row));
@@ -69,6 +71,10 @@ void write_row_json(std::ostream& os, const AttributedRow& r) {
   write_cv_json(os, r.total);
   os << ",\n      \"self\": ";
   write_cv_json(os, r.self);
+  os << ",\n      \"host_s\": ";
+  trace::json_number(os, r.host_s);
+  os << ", \"self_host_s\": ";
+  trace::json_number(os, r.self_host_s);
   os << ",\n      \"roofline\": {\"gintops\": ";
   trace::json_number(os, r.gintops);
   os << ", \"intensity\": ";
@@ -122,16 +128,17 @@ AttributedProfile build_attributed_profile(
 
   // Bottom-up: exclusive cost aggregated over every span sharing a name,
   // hottest first (ties broken by name, so the view is deterministic).
-  std::map<std::string, trace::CounterVector> by_name;
+  std::map<std::string, AttributedRow> by_name;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    by_name[nodes[i].name].add(trace::self_cost(nodes, i));
+    AttributedRow& row = by_name[nodes[i].name];
+    row.self.add(trace::self_cost(nodes, i));
+    row.self_host_s += trace::self_host_s(nodes, i);
   }
-  for (const auto& [name, self] : by_name) {
-    AttributedRow row;
+  for (auto& [name, row] : by_name) {
     row.path = name;
     row.name = name;
-    row.total = self;
-    row.self = self;
+    row.total = row.self;
+    row.host_s = row.self_host_s;
     place_on_roofline(row, dev);
     p.bottom_up.push_back(std::move(row));
   }

@@ -14,7 +14,9 @@
 /// INTOP roofline (§V.B conventions: INTOPs == warp-level instructions,
 /// intensity == INTOPs per HBM byte), top-down (tree) and bottom-up
 /// (aggregated by span name) views, emitted as JSON + CSV + a flame-style
-/// ASCII summary.
+/// ASCII summary. The JSON rows also carry each span's host seconds, so
+/// one file is the run's layer ledger; the CSV stays modelled-only (and so
+/// byte-identical across runs).
 ///
 /// Named AttributedProfile (not ProfileReport — model/profiler.hpp already
 /// uses that name for the vendor-counter emulation view of the same run).
@@ -28,6 +30,8 @@ struct AttributedRow {
   std::uint32_t depth = 0;         ///< 0 in the bottom-up view
   trace::CounterVector total;      ///< inclusive (== self in bottom-up)
   trace::CounterVector self;       ///< exclusive of children
+  double host_s = 0.0;             ///< host seconds, like `total`
+  double self_host_s = 0.0;        ///< host seconds, like `self`
 
   /// Roofline placement of `total`; meaningful only when the span covered
   /// modelled kernel time (sim_time_s > 0 and HBM bytes > 0) — host-only

@@ -12,9 +12,9 @@ class AttributionProfile;
 
 /// Private seam between the one pipeline driver and its two front ends.
 /// run_stages owns the Fig. 2 stage sequence for run_pipeline and
-/// dist::run_distributed alike: pool and assembler, driver track, spans,
-/// attribution scopes, stage gauges, pipeline.* counters, log lines,
-/// checkpointing and the k-round loop with its reference path,
+/// dist::run_distributed alike: pool and assembler, driver track, the
+/// stage spans (attribution nodes with host time), pipeline.* counters,
+/// log lines, checkpointing and the k-round loop with its reference path,
 /// single-device round and IterationReport.
 namespace lassm::pipeline::detail {
 
@@ -45,7 +45,7 @@ class FrontEnd {
   virtual bio::ContigSet contigs(DbgStats* stats,
                                  core::WarpExecutionEngine* pool);
 
-  /// Bracket every stage inside its attribution scope.
+  /// Bracket every stage inside its span.
   virtual void begin_stage() {}
   virtual void end_stage(trace::AttributionProfile* /*profile*/) {}
   /// Runs before round `round`'s alignment.

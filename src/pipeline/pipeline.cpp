@@ -32,35 +32,6 @@ double bits_double(std::uint64_t bits) noexcept {
   return std::bit_cast<double>(bits);
 }
 
-/// Records a completed host-side stage span on the pipeline's driver track;
-/// a no-op (two pointer checks) when tracing is off. `args` carries the
-/// stage's attributed counter vector (front-end stages attach an honest
-/// all-zero vector — they run no modelled kernel).
-void record_stage(trace::Tracer* tracer, std::uint32_t track,
-                  std::string name, double t0,
-                  std::vector<trace::Arg> args = {}) {
-  if (tracer == nullptr) return;
-  trace::Event e;
-  e.track = track;
-  e.name = std::move(name);
-  e.cat = "host";
-  e.ts_us = t0;
-  e.dur_us = tracer->host_now_us() - t0;
-  e.args = std::move(args);
-  tracer->record(std::move(e));
-}
-
-/// Sets one stage's pipeline.stage_seconds.* gauge from two readings of
-/// the tracer's host clock; a no-op when tracing is off. These gauges are
-/// the library's only record of per-stage host time.
-void record_stage_gauge(trace::Tracer* tracer, const char* stage,
-                        double t0_us, double t1_us) {
-  if (tracer == nullptr) return;
-  tracer->metrics()
-      .gauge(std::string(trace::names::kPipelineStageSecondsPrefix) + stage)
-      .set((t1_us - t0_us) * 1e-6);
-}
-
 void add_counter(trace::Tracer* tracer, const char* name, std::uint64_t n) {
   if (tracer != nullptr) tracer->metrics().counter(name).add(n);
 }
@@ -241,18 +212,17 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
   trace::Tracer* const tracer = opts.assembly.trace;
   const std::uint32_t driver_track =
       tracer != nullptr ? tracer->track("host", front.track) : 0;
-  // The tracer's host clock; never read when tracing is off.
-  const auto now_us = [tracer] {
-    return tracer != nullptr ? tracer->host_now_us() : 0.0;
+  const auto span = [&](std::string name) {
+    return trace::Span(tracer, driver_track, std::move(name));
   };
-  const double pipeline_t0 = now_us();
 
-  // Stage-level counter attribution: the root node parents every stage
-  // node, and each k-round parents the assembler's per-launch tree, so the
-  // profile reconciles bottom-up to the run totals (see DESIGN.md).
+  // Stage-level attribution: the root node parents every stage node, and
+  // each k-round parents its align node and the assembler's per-launch
+  // tree, so the profile reconciles bottom-up to the run totals and every
+  // node carries its host seconds (see DESIGN.md).
   trace::AttributionProfile* const profile =
       tracer != nullptr ? &tracer->attribution() : nullptr;
-  trace::AttributionProfile::Scope pipeline_scope(profile, front.root_span);
+  trace::Span root_span = span(front.root_span);
 
   // One shared thread pool for the whole pipeline: the front-end stages
   // run on it as host batches and every simulated-assembly round runs its
@@ -328,18 +298,16 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
 
   if (!resumed) {
     // Stage 1: k-mer analysis with error filtering.
-    trace::AttributionProfile::Scope kmer_scope(profile, "kmer_analysis");
+    trace::Span kmer_span = span("kmer_analysis");
     front.begin_stage();
-    const double count_t0 = now_us();
+    trace::Span count_span = span("kmer_count");
     result.kmers_total = front.count(pool.get());
-    const double filter_t0 = now_us();
+    count_span.close();
+    trace::Span filter_span = span("kmer_filter");
     result.kmers_filtered = front.filter(pool.get());
-    const double filter_t1 = now_us();
+    filter_span.close();
     front.end_stage(profile);
-    record_stage(tracer, driver_track, "kmer_analysis", pipeline_t0,
-                 trace::counter_args(kmer_scope.close()));
-    record_stage_gauge(tracer, "kmer_count", count_t0, filter_t0);
-    record_stage_gauge(tracer, "kmer_filter", filter_t0, filter_t1);
+    kmer_span.close();
     add_counter(tracer, trace::names::kPipelineKmersDistinct,
                 result.kmers_total);
     add_counter(tracer, trace::names::kPipelineKmersFiltered,
@@ -347,7 +315,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     if (log != nullptr) {
       // Host wall clock stays out of the log: the log stream is part of
       // the bit-identical-at-every-thread-count contract. Timings live in
-      // the stage gauges.
+      // the attribution tree's host_s.
       *log << front.log_prefix << " k-mer analysis" << front.ranks_note()
            << ": " << result.kmers_total << " distinct k-mers, "
            << result.kmers_filtered << " filtered" << front.kmer_note()
@@ -355,14 +323,11 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     }
 
     // Stage 2: global de Bruijn graph -> contigs.
-    const double dbg_t0 = now_us();
-    trace::AttributionProfile::Scope dbg_scope(profile, "contig_generation");
+    trace::Span dbg_span = span("contig_generation");
     front.begin_stage();
     result.contigs = front.contigs(&result.dbg, pool.get());
     front.end_stage(profile);
-    record_stage(tracer, driver_track, "contig_generation", dbg_t0,
-                 trace::counter_args(dbg_scope.close()));
-    record_stage_gauge(tracer, "contig_generation", dbg_t0, now_us());
+    dbg_span.close();
     add_counter(tracer, trace::names::kPipelineContigs, result.contigs.size());
     if (log != nullptr) {
       *log << front.log_prefix << " contig generation: "
@@ -374,27 +339,22 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
   }
 
   // Stage 3: iterative {alignment -> local assembly} over the k ladder.
-  // The align gauge sums this run's rounds.
-  double align_us = 0.0;
   for (std::size_t round = rounds_done; round < opts.k_iterations.size();
        ++round) {
     const std::uint32_t k = opts.k_iterations[round];
-    const double round_t0 = now_us();
-    trace::AttributionProfile::Scope round_scope(
-        profile, "k-round " + std::to_string(k));
+    trace::Span round_span = span("k-round " + std::to_string(k));
     front.begin_stage();
     front.begin_round(round);
     AlignStats astats;
-    const double align_t0 = now_us();
+    trace::Span align_span = span("align");
     core::AssemblyInput input = align_reads_to_ends(
         std::move(result.contigs), reads, k, opts.aligner, &astats,
         pool.get());
+    align_span.close();
 
     IterationReport report;
     report.k = k;
     report.mapped_reads = astats.aligned_left + astats.aligned_right;
-    align_us += now_us() - align_t0;
-    record_stage_gauge(tracer, "align", 0.0, align_us);
     add_counter(tracer, trace::names::kPipelineReadsMapped,
                 report.mapped_reads);
 
@@ -428,8 +388,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
     report.total_bases = bio::total_contig_bases(result.contigs);
     report.n50 = bio::n50(result.contigs);
     front.end_stage(profile);
-    record_stage(tracer, driver_track, "k-round " + std::to_string(k),
-                 round_t0, trace::counter_args(round_scope.close()));
+    round_span.close();
     result.iterations.push_back(report);
     checkpoint_now(round + 1);
     if (log != nullptr) {
@@ -440,8 +399,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
            << ", kernel time=" << report.kernel_time_s * 1e3 << " ms\n";
     }
   }
-  record_stage(tracer, driver_track, front.root_span, pipeline_t0,
-               trace::counter_args(pipeline_scope.close()));
+  root_span.close();
   return result;
 }
 

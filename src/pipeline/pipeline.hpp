@@ -99,8 +99,9 @@ Result<PipelineCheckpoint> load_checkpoint_file(const std::string& path);
 /// A device lost mid-round reruns its unfinished contigs (recover_on_device)
 /// and the rerun's modelled time adds to kernel_time_s.
 ///
-/// The result holds no host time. With assembly.trace set, each stage's
-/// host seconds land on the pipeline.stage_seconds.* gauges.
+/// The result holds no host time. With assembly.trace set, each stage is a
+/// trace::Span: its attribution node carries the stage's host seconds
+/// (host_s) under the root "pipeline" node.
 PipelineResult run_pipeline(const bio::ReadSet& reads,
                             const simt::DeviceSpec& device,
                             const PipelineOptions& opts = {},

@@ -156,12 +156,15 @@ Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
           return parse_error("bad device_loss batch in \"" + value + '"',
                              spec);
         std::size_t used = 0;
+        // Both fields are uint32: a wider value would wrap, and rank
+        // 0xFFFFFFFF is reserved for recovery reruns (kRecoveryRank), which
+        // a parsed plan must never be able to target.
         const unsigned long rank = std::stoul(rank_str, &used);
-        if (used != rank_str.size())
+        if (used != rank_str.size() || rank >= UINT32_MAX)
           return parse_error("bad device_loss rank in \"" + value + '"',
                              spec);
         const unsigned long batch = std::stoul(after, &used);
-        if (used != after.size())
+        if (used != after.size() || batch > UINT32_MAX)
           return parse_error("bad device_loss batch in \"" + value + '"',
                              spec);
         plan.add_device_loss(static_cast<std::uint32_t>(rank),

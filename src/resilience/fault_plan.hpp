@@ -94,7 +94,8 @@ class FaultPlan {
   ///
   /// Tokens are whitespace-separated `name=value`; seam names are the
   /// snake_case `seam_name()` strings with a probability value, plus
-  /// `seed=<u64>` and repeatable `device_loss=<rank>@<after_batch>`.
+  /// `seed=<u64>` and repeatable `device_loss=<rank>@<after_batch>` (both
+  /// uint32; rank 0xFFFFFFFF, the recovery rank, is rejected).
   static Result<FaultPlan> parse(const std::string& spec);
 
   /// Plan from the LASSM_FAULTPLAN environment variable; ok(nullopt) when

@@ -41,6 +41,13 @@ CounterVector self_cost(const std::vector<AttributionNode>& nodes,
   return self.minus(child_sum);
 }
 
+double self_host_s(const std::vector<AttributionNode>& nodes,
+                   std::size_t i) noexcept {
+  double self = nodes[i].host_s;
+  for (const std::uint32_t c : nodes[i].children) self -= nodes[c].host_s;
+  return self;
+}
+
 std::uint32_t AttributionProfile::open(std::string name) {
   AttributionNode node;
   node.name = std::move(name);
@@ -57,10 +64,11 @@ std::uint32_t AttributionProfile::open(std::string name) {
   return idx;
 }
 
-CounterVector AttributionProfile::close() {
+CounterVector AttributionProfile::close(double host_s) {
   if (open_stack_.empty()) return {};
   const std::uint32_t idx = open_stack_.back();
   nodes_[idx].total = cumulative_.minus(open_snapshots_.back());
+  nodes_[idx].host_s = host_s;
   open_stack_.pop_back();
   open_snapshots_.pop_back();
   return nodes_[idx].total;

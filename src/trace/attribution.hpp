@@ -86,12 +86,16 @@ struct CounterVector {
 };
 
 /// One node of the attribution tree: a named span with the counter total
-/// accumulated while it was open (children included). Nodes live in the
+/// accumulated while it was open (children included) and the driver
+/// thread's wall time between its open and close. Nodes live in the
 /// profile's arena; parent/children are arena indices so the whole tree is
 /// trivially copyable into study artifacts.
 struct AttributionNode {
   std::string name;
   CounterVector total;
+  /// Host seconds the span was open (children included). Set by
+  /// trace::Span from the tracer's clock; 0 for nodes closed without one.
+  double host_s = 0.0;
   std::int32_t parent = -1;              ///< arena index; -1 for roots
   std::uint32_t depth = 0;               ///< 0 for roots
   std::vector<std::uint32_t> children;   ///< arena indices, open order
@@ -101,12 +105,16 @@ struct AttributionNode {
 /// children's totals.
 CounterVector self_cost(const std::vector<AttributionNode>& nodes,
                         std::size_t i) noexcept;
+/// Exclusive host seconds of node `i`: its host_s minus its children's.
+double self_host_s(const std::vector<AttributionNode>& nodes,
+                   std::size_t i) noexcept;
 
 /// Hierarchical counter attribution. DRIVER-THREAD ONLY, by construction:
 /// launches merge their counters on the driver thread after the worker
 /// barrier, and stage spans open/close there too, so no lock is needed and
 /// attribution can never perturb worker execution (the bit-identity
-/// contract). Open/close must nest like spans do.
+/// contract). Open/close must nest like spans do; trace::Span is the RAII
+/// form that also times the node.
 class AttributionProfile {
  public:
   /// Opens a span named `name` as a child of the currently open span (or a
@@ -117,41 +125,16 @@ class AttributionProfile {
   /// open ancestor receives it at close time via the snapshot arithmetic).
   void add(const CounterVector& cv) noexcept { cumulative_.add(cv); }
 
-  /// Closes the innermost open span and returns the counter delta it
-  /// absorbed (its total). Unbalanced close() on an empty stack returns an
-  /// empty vector.
-  CounterVector close();
+  /// Closes the innermost open span, stores `host_s` as its wall time and
+  /// returns the counter delta it absorbed (its total). Unbalanced close()
+  /// on an empty stack returns an empty vector.
+  CounterVector close(double host_s = 0.0);
 
   bool has_open() const noexcept { return !open_stack_.empty(); }
   const CounterVector& cumulative() const noexcept { return cumulative_; }
   const std::vector<AttributionNode>& nodes() const noexcept {
     return nodes_;
   }
-
-  /// RAII open/close. A null profile makes every operation a no-op, so call
-  /// sites stay branch-free when tracing is off.
-  class Scope {
-   public:
-    Scope(AttributionProfile* profile, std::string name)
-        : profile_(profile) {
-      if (profile_ != nullptr) profile_->open(std::move(name));
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      if (!closed_) close();
-    }
-    /// Explicit close, returning the span's counter total (empty when the
-    /// profile is null). Idempotent.
-    CounterVector close() {
-      closed_ = true;
-      return profile_ != nullptr ? profile_->close() : CounterVector{};
-    }
-
-   private:
-    AttributionProfile* profile_;
-    bool closed_ = false;
-  };
 
  private:
   std::vector<AttributionNode> nodes_;

@@ -54,18 +54,14 @@ inline constexpr const char* kExecClaims = "exec.claims";
 inline constexpr const char* kExecSteals = "exec.steals";
 
 /// Pipeline front-end (k-mer analysis, contig generation, alignment):
-/// stage outputs as counters, host seconds per stage (on the tracer's
-/// clock) as gauges on "pipeline.stage_seconds.<stage>" (stages:
-/// kmer_count, kmer_filter, contig_generation, and align summed over the
-/// run's k-rounds).
+/// stage outputs as counters. Host seconds per stage live in the
+/// attribution tree (AttributionNode::host_s), not in the registry.
 inline constexpr const char* kPipelineKmersDistinct =
     "pipeline.kmers_distinct";
 inline constexpr const char* kPipelineKmersFiltered =
     "pipeline.kmers_filtered";
 inline constexpr const char* kPipelineContigs = "pipeline.contigs";
 inline constexpr const char* kPipelineReadsMapped = "pipeline.reads_mapped";
-inline constexpr const char* kPipelineStageSecondsPrefix =
-    "pipeline.stage_seconds.";
 
 /// Resilient-execution fault accounting (recorded only when an armed
 /// FaultPlan is threaded through AssemblyOptions and tracing is on).

@@ -35,6 +35,12 @@ void Tracer::record(Event e) {
   events_.push_back(std::move(e));
 }
 
+void Tracer::instant(std::uint32_t track, std::string name, const char* cat,
+                     std::vector<Arg> args) {
+  record(Event{Event::Kind::kInstant, track, std::move(name), cat,
+               host_now_us(), 0.0, std::move(args)});
+}
+
 double Tracer::host_now_us() const {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - epoch_)
@@ -99,6 +105,37 @@ std::vector<Event> Tracer::events() const {
 std::size_t Tracer::event_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return events_.size();
+}
+
+Span::Span(Tracer* tracer, std::uint32_t track, std::string name)
+    : tracer_(tracer), track_(track) {
+  if (tracer_ == nullptr) return;
+  node_ = tracer_->attribution().open(std::move(name));
+  open_ = true;
+  t0_us_ = tracer_->host_now_us();
+}
+
+Span::~Span() {
+  try {
+    close();
+  } catch (const std::exception&) {
+    // Only recording the event allocates, and it runs after the node is
+    // closed with its host_s: the tree keeps the span, the timeline loses
+    // it, and an exception never escapes a destructor.
+  }
+}
+
+CounterVector Span::close() {
+  if (tracer_ == nullptr) return {};
+  AttributionProfile& profile = tracer_->attribution();
+  if (!open_) return profile.nodes()[node_].total;
+  open_ = false;
+  const double dur_us = tracer_->host_now_us() - t0_us_;
+  const CounterVector cv = profile.close(dur_us * 1e-6);
+  tracer_->record(Event{Event::Kind::kComplete, track_,
+                        profile.nodes()[node_].name, "host", t0_us_, dur_us,
+                        counter_args(cv)});
+  return cv;
 }
 
 SimTimeline::SimTimeline(Tracer& tracer, std::string process,

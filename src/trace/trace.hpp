@@ -101,6 +101,9 @@ class Tracer {
   /// Appends one event (thread-safe; meant for cold paths — workers in a
   /// parallel region record through a Buffer instead).
   void record(Event e);
+  /// Records an instant event on `track`, stamped with host_now_us().
+  void instant(std::uint32_t track, std::string name, const char* cat,
+               std::vector<Arg> args);
 
   /// Host-clock "now" in microseconds since the tracer's construction.
   double host_now_us() const;
@@ -142,6 +145,35 @@ class Tracer {
   double sim_cursor_us_ = 0.0;
   MetricsRegistry metrics_;
   AttributionProfile attribution_;
+};
+
+/// The library's one host span: an attribution node that times itself.
+/// Opening it opens a node in the tracer's attribution tree (a child of the
+/// innermost open node) and reads the host clock. Closing it closes the
+/// node, stores the wall time in between in the node's host_s, records a
+/// complete "host" event on `track` whose args are the node's counters
+/// (counter_args), and returns those counters. A null tracer makes every
+/// operation a no-op that reads no clock, so untraced call sites stay
+/// branch-free. DRIVER-THREAD ONLY, like the attribution tree, and spans
+/// must nest.
+class Span {
+ public:
+  Span(Tracer* tracer, std::uint32_t track, std::string name);
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  /// Closes the span if close() was not called (also during unwinding).
+  ~Span();
+
+  /// Closes the span and returns its counter total (empty for a null
+  /// tracer). Idempotent: a second call returns the same total.
+  CounterVector close();
+
+ private:
+  Tracer* tracer_;
+  std::uint32_t track_ = 0;
+  std::uint32_t node_ = 0;
+  double t0_us_ = 0.0;
+  bool open_ = false;
 };
 
 /// Builds one launch's simulated-device timeline: greedy earliest-finish

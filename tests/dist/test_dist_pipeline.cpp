@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -495,11 +496,15 @@ TEST(DistPipeline, WeakScalingKeepsPartitionAndTrafficBars) {
 
 // ---------------------------------------------------------------------------
 // Driver skeleton. run_pipeline and run_distributed share one stage loop;
-// these literals were recorded before they did, so the merge provably left
-// unchanged what a caller observes of either driver: the log stream, the
-// stage events on the driver's own track (in order) and the counter
-// attribution tree (names, parents and every CounterVector total, the
-// dist_msgs / dist_bytes traffic fields included).
+// the log hashes and the prior tree hashes were recorded before they did,
+// so the merge provably left unchanged what a caller observes of either
+// driver: the log stream, the stage events on the driver's own track (in
+// order) and the counter attribution tree (names, parents and every
+// CounterVector total, the dist_msgs / dist_bytes traffic fields
+// included). The stage spans later added the kmer_count, kmer_filter and
+// align nodes (and their events, plus an event for each "assembly" node);
+// the prior hash is taken over the tree without them, with parents
+// renumbered, so it still pins every older node exactly.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -517,8 +522,41 @@ struct Skeleton {
   std::vector<std::string> stages;  ///< complete events on the driver track
   std::size_t tree_nodes = 0;
   std::uint64_t tree_hash = 0;      ///< names, parents, every total
+  std::size_t prior_nodes = 0;      ///< the tree without the span layers
+  std::uint64_t prior_tree_hash = 0;
   trace::CounterVector root;        ///< the root node's total
 };
+
+bool is_span_layer(const std::string& name) {
+  return name == "kmer_count" || name == "kmer_filter" || name == "align";
+}
+
+/// Hashes the nodes `keep` accepts, in arena order, with each parent
+/// renumbered to its index among the kept nodes.
+template <typename Keep>
+std::uint64_t hash_tree(const std::vector<trace::AttributionNode>& nodes,
+                        Keep keep, std::size_t* kept) {
+  std::vector<std::int32_t> index(nodes.size(), -1);
+  std::int32_t next = 0;
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const trace::AttributionNode& n = nodes[i];
+    if (!keep(n)) continue;
+    index[i] = next++;
+    const std::int32_t parent = n.parent < 0 ? -1 : index[n.parent];
+    EXPECT_EQ(parent < 0, n.parent < 0) << n.name << "'s parent was dropped";
+    h = fnv1a(h, n.name.data(), n.name.size());
+    h = fnv1a(h, &parent, sizeof parent);
+    for (const auto& f : trace::CounterVector::fields()) {
+      const std::uint64_t v = n.total.*f.member;
+      h = fnv1a(h, &v, sizeof v);
+    }
+    const auto t = std::bit_cast<std::uint64_t>(n.total.sim_time_s);
+    h = fnv1a(h, &t, sizeof t);
+  }
+  *kept = static_cast<std::size_t>(next);
+  return h;
+}
 
 Skeleton skeleton_of(const trace::Tracer& tracer, const std::string& log,
                      const char* driver_thread) {
@@ -538,19 +576,13 @@ Skeleton skeleton_of(const trace::Tracer& tracer, const std::string& log,
     }
   }
   const auto& nodes = tracer.attribution().nodes();
-  s.tree_nodes = nodes.size();
-  std::uint64_t h = kFnvBasis;
-  for (const trace::AttributionNode& n : nodes) {
-    h = fnv1a(h, n.name.data(), n.name.size());
-    h = fnv1a(h, &n.parent, sizeof n.parent);
-    for (const auto& f : trace::CounterVector::fields()) {
-      const std::uint64_t v = n.total.*f.member;
-      h = fnv1a(h, &v, sizeof v);
-    }
-    const auto t = std::bit_cast<std::uint64_t>(n.total.sim_time_s);
-    h = fnv1a(h, &t, sizeof t);
-  }
-  s.tree_hash = h;
+  s.tree_hash = hash_tree(
+      nodes, [](const trace::AttributionNode&) { return true; },
+      &s.tree_nodes);
+  s.prior_tree_hash = hash_tree(
+      nodes,
+      [](const trace::AttributionNode& n) { return !is_span_layer(n.name); },
+      &s.prior_nodes);
   if (!nodes.empty()) s.root = nodes.front().total;
   return s;
 }
@@ -564,12 +596,14 @@ pipeline::PipelineOptions skeleton_options(unsigned threads) {
 TEST(DriverSkeleton, RunPipelineIsPinned) {
   // run_pipeline's driver track is shared with its assembler's launches.
   const std::vector<std::string> stages{
-      "kmer_analysis",        "contig_generation",    "launch right batch 0",
+      "kmer_count",           "kmer_filter",          "kmer_analysis",
+      "contig_generation",    "align",                "launch right batch 0",
       "launch right batch 1", "side right",           "launch left batch 0",
-      "launch left batch 1",  "side left",            "k-round 21",
-      "launch right batch 0", "launch right batch 1", "launch right batch 2",
-      "side right",           "launch left batch 0",  "launch left batch 1",
-      "launch left batch 2",  "side left",            "k-round 33",
+      "launch left batch 1",  "side left",            "assembly",
+      "k-round 21",           "align",                "launch right batch 0",
+      "launch right batch 1", "launch right batch 2", "side right",
+      "launch left batch 0",  "launch left batch 1",  "launch left batch 2",
+      "side left",            "assembly",             "k-round 33",
       "pipeline"};
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -582,17 +616,21 @@ TEST(DriverSkeleton, RunPipelineIsPinned) {
     const Skeleton s = skeleton_of(tracer, log.str(), "driver");
     EXPECT_EQ(s.log_hash, 0x076d87d0dbb6eff9ULL) << log.str();
     EXPECT_EQ(s.stages, stages);
-    EXPECT_EQ(s.tree_nodes, 21U);
-    EXPECT_EQ(s.tree_hash, 0x621427ebc4e50f3bULL);
+    EXPECT_EQ(s.tree_nodes, 25U);
+    EXPECT_EQ(s.tree_hash, 0x372e48eda6334e18ULL);
+    EXPECT_EQ(s.prior_nodes, 21U);
+    EXPECT_EQ(s.prior_tree_hash, 0x621427ebc4e50f3bULL);
     EXPECT_EQ(s.root.dist_msgs, 0U);
     EXPECT_EQ(s.root.dist_bytes, 0U);
   }
 }
 
 TEST(DriverSkeleton, RunDistributedIsPinned) {
-  const std::vector<std::string> stages{"kmer_analysis", "contig_generation",
-                                        "k-round 21", "k-round 33",
-                                        "dist_pipeline"};
+  // The per-rank assemblers' spans are on the shared "driver" track.
+  const std::vector<std::string> stages{
+      "kmer_count", "kmer_filter", "kmer_analysis", "contig_generation",
+      "align",      "k-round 21",  "align",         "k-round 33",
+      "dist_pipeline"};
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     trace::Tracer tracer;
@@ -605,10 +643,75 @@ TEST(DriverSkeleton, RunDistributedIsPinned) {
     const Skeleton s = skeleton_of(tracer, log.str(), "dist-driver");
     EXPECT_EQ(s.log_hash, 0xf73694135fed0f81ULL) << log.str();
     EXPECT_EQ(s.stages, stages);
-    EXPECT_EQ(s.tree_nodes, 35U);
-    EXPECT_EQ(s.tree_hash, 0x2caedd659e49fa63ULL);
+    EXPECT_EQ(s.tree_nodes, 39U);
+    EXPECT_EQ(s.tree_hash, 0xe21fcfa295a3c214ULL);
+    EXPECT_EQ(s.prior_nodes, 35U);
+    EXPECT_EQ(s.prior_tree_hash, 0x2caedd659e49fa63ULL);
     EXPECT_EQ(s.root.dist_msgs, 63720U);
     EXPECT_EQ(s.root.dist_bytes, 2893932U);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Host time on the tree. Every span's node carries its driver-thread wall
+// time: a node's covers its children's, the four layer nodes are timed, and
+// the root fits inside the caller's own clock bracket around the call.
+
+// Nested clock reads bracket each other exactly; the slack only absorbs
+// the rounding of the double-valued differences.
+constexpr double kClockSlackS = 1e-9;
+
+void expect_host_time_nests(const trace::Tracer& tracer, double bracket_s) {
+  const auto& nodes = tracer.attribution().nodes();
+  ASSERT_FALSE(nodes.empty());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_GE(trace::self_host_s(nodes, i), -kClockSlackS) << nodes[i].name;
+  }
+  for (const char* layer :
+       {"kmer_count", "kmer_filter", "contig_generation", "align"}) {
+    bool seen = false;
+    for (const trace::AttributionNode& n : nodes) {
+      if (n.name != layer) continue;
+      seen = true;
+      EXPECT_GT(n.host_s, 0.0) << layer;
+    }
+    EXPECT_TRUE(seen) << layer;
+  }
+  EXPECT_EQ(nodes.front().parent, -1);
+  EXPECT_GT(nodes.front().host_s, 0.0);
+  EXPECT_LE(nodes.front().host_s, bracket_s + kClockSlackS);
+}
+
+TEST(DriverHostTime, NodesNestAndTheRootFitsTheCallersBracket) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    {
+      trace::Tracer tracer;
+      pipeline::PipelineOptions opts = skeleton_options(threads);
+      opts.assembly.trace = &tracer;
+      const Clock::time_point t0 = Clock::now();
+      pipeline::run_pipeline(workload_reads(), simt::DeviceSpec::a100(),
+                             opts);
+      const double bracket_s = seconds_since(t0);
+      SCOPED_TRACE("run_pipeline");
+      expect_host_time_nests(tracer, bracket_s);
+    }
+    {
+      trace::Tracer tracer;
+      DistOptions opts;
+      opts.ranks = 4;
+      opts.pipeline = skeleton_options(threads);
+      opts.pipeline.assembly.trace = &tracer;
+      const Clock::time_point t0 = Clock::now();
+      run_distributed(workload_reads(), simt::DeviceSpec::a100(), opts);
+      const double bracket_s = seconds_since(t0);
+      SCOPED_TRACE("run_distributed");
+      expect_host_time_nests(tracer, bracket_s);
+    }
   }
 }
 

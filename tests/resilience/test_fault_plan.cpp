@@ -1,12 +1,16 @@
 // FaultPlan semantics: the pure fires() decision function, transient vs
 // persistent seams, device-loss scheduling, and the spec parser behind
-// LASSM_FAULTPLAN.
+// LASSM_FAULTPLAN, fuzzed like the dataset decoder (SerializeFuzz.*).
 
 #include "resilience/fault_plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "bio/rng.hpp"
 
 namespace lassm::resilience {
 namespace {
@@ -159,7 +163,10 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   for (const char* spec :
        {"seed", "seed=", "seed=x", "task_exception=2notanumber",
         "unknown_seam=0.5", "device_loss=1", "device_loss=@2",
-        "device_loss=a@b", "=0.5"}) {
+        "device_loss=a@b", "=0.5",
+        // uint32 fields must not wrap, and the recovery rank is reserved.
+        "device_loss=4294967296@0", "device_loss=1@4294967297",
+        "device_loss=4294967295@3"}) {
     auto r = FaultPlan::parse(spec);
     EXPECT_FALSE(r.is_ok()) << spec;
     if (!r.is_ok()) {
@@ -223,6 +230,77 @@ TEST(FaultPlan, SeamNamesAreUniqueAndSnakeCase) {
     for (std::size_t b = a + 1; b < kSeamCount; ++b) {
       EXPECT_NE(name, std::string(seam_name(static_cast<Seam>(b))));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Spec decoder fuzz. LASSM_FAULTPLAN is untrusted text: every prefix of a
+// full spec and thousands of seeded corruptions of it must each come back
+// as a typed kParseError or as a plan whose canonical spec parses back to
+// itself. Nothing may throw.
+
+/// Arms every rate seam and schedules two device losses.
+std::string full_spec() {
+  std::string spec = "seed=8675309";
+  for (std::size_t i = 0; i < kSeamCount; ++i) {
+    const Seam seam = static_cast<Seam>(i);
+    if (seam == Seam::kDeviceLoss) continue;
+    spec += ' ' + std::string(seam_name(seam)) + "=0." +
+            std::to_string(i + 1) + "25";
+  }
+  return spec + " device_loss=1@2 device_loss=3@40";
+}
+
+void expect_rejected_or_consistent(const std::string& spec,
+                                   const std::string& what) {
+  std::optional<Result<FaultPlan>> parsed;
+  ASSERT_NO_THROW(parsed.emplace(FaultPlan::parse(spec))) << what;
+  if (!parsed->is_ok()) {
+    EXPECT_EQ(parsed->error().code(), ErrorCode::kParseError) << what;
+    return;
+  }
+  const std::string canonical = parsed->value().to_spec();
+  std::optional<Result<FaultPlan>> again;
+  ASSERT_NO_THROW(again.emplace(FaultPlan::parse(canonical))) << what;
+  ASSERT_TRUE(again->is_ok()) << what << ": " << canonical;
+  EXPECT_EQ(again->value().to_spec(), canonical) << what;
+}
+
+TEST(FaultPlanFuzz, FullSpecArmsEverySeam) {
+  auto r = FaultPlan::parse(full_spec());
+  ASSERT_TRUE(r.is_ok()) << full_spec();
+  for (std::size_t i = 0; i < kSeamCount; ++i) {
+    const Seam seam = static_cast<Seam>(i);
+    if (seam != Seam::kDeviceLoss) EXPECT_GT(r.value().rate(seam), 0.0);
+  }
+  EXPECT_EQ(r.value().device_losses().size(), 2U);
+}
+
+TEST(FaultPlanFuzz, EveryTruncationIsRejectedOrConsistent) {
+  const std::string spec = full_spec();
+  for (std::size_t n = 0; n <= spec.size(); ++n) {
+    expect_rejected_or_consistent(spec.substr(0, n),
+                                  "prefix of " + std::to_string(n) + " bytes");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FaultPlanFuzz, RandomByteCorruptionIsRejectedOrConsistent) {
+  const std::string spec = full_spec();
+  bio::Xoshiro256 rng(2026);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string bytes = spec;
+    const std::uint64_t flips = 1 + rng.below(4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::size_t at = rng.below(bytes.size());
+      // Half the flips write a digit, so ranks, batches, seeds and rates
+      // get plausible-looking wrong values rather than only parse failures.
+      bytes[at] = rng.below(2) == 0
+                      ? static_cast<char>('0' + rng.below(10))
+                      : static_cast<char>(rng.below(256));
+    }
+    expect_rejected_or_consistent(bytes, "trial " + std::to_string(trial));
+    if (HasFatalFailure()) return;
   }
 }
 

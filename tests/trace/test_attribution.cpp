@@ -115,22 +115,69 @@ TEST(AttributionProfile, NestedSpansAttributeDeltas) {
   EXPECT_EQ(self_cost(nodes, inner).cycles, 3U);
 }
 
-TEST(AttributionProfile, NullScopeIsNoOpAndCloseIsIdempotent) {
+TEST(Span, NullTracerIsNoOpAndCloseIsIdempotent) {
   {
-    AttributionProfile::Scope s(nullptr, "nothing");
+    Span s(nullptr, 0, "nothing");
+    EXPECT_TRUE(s.close().is_zero());
     EXPECT_TRUE(s.close().is_zero());
   }
-  AttributionProfile p;
+  Tracer tracer;
+  const std::uint32_t track = tracer.track("host", "driver");
   {
-    AttributionProfile::Scope s(&p, "span");
-    p.add(make_cv(2, 1));
+    Span s(&tracer, track, "span");
+    tracer.attribution().add(make_cv(2, 1));
     EXPECT_EQ(s.close().cycles, 2U);
-    // The destructor must not close a second span.
+    // A second close returns the same total; neither it nor the destructor
+    // closes another node or records another event.
+    EXPECT_EQ(s.close().cycles, 2U);
   }
-  EXPECT_EQ(p.nodes().size(), 1U);
-  EXPECT_FALSE(p.has_open());
+  const auto& nodes = tracer.attribution().nodes();
+  ASSERT_EQ(nodes.size(), 1U);
+  EXPECT_FALSE(tracer.attribution().has_open());
+  EXPECT_GE(nodes[0].host_s, 0.0);
+
+  // The span's one event: a complete host event on its track, as long as
+  // the node's host_s, carrying the node's counters.
+  const std::vector<Event> events = tracer.events();
+  ASSERT_EQ(events.size(), 1U);
+  EXPECT_EQ(events[0].kind, Event::Kind::kComplete);
+  EXPECT_EQ(events[0].track, track);
+  EXPECT_EQ(events[0].name, "span");
+  EXPECT_STREQ(events[0].cat, "host");
+  EXPECT_DOUBLE_EQ(events[0].dur_us * 1e-6, nodes[0].host_s);
+  const std::vector<Arg> args = counter_args(nodes[0].total);
+  ASSERT_EQ(events[0].args.size(), args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    EXPECT_EQ(events[0].args[i].key, args[i].key);
+    EXPECT_EQ(events[0].args[i].num, args[i].num) << args[i].key;
+  }
+
   // Unbalanced close on an empty stack is harmless.
-  EXPECT_TRUE(p.close().is_zero());
+  EXPECT_TRUE(tracer.attribution().close().is_zero());
+}
+
+TEST(Span, ParentHostTimeCoversItsChildren) {
+  Tracer tracer;
+  const std::uint32_t track = tracer.track("host", "driver");
+  {
+    const Span outer(&tracer, track, "outer");
+    { const Span a(&tracer, track, "a"); }
+    { const Span b(&tracer, track, "b"); }
+  }
+  const auto& nodes = tracer.attribution().nodes();
+  ASSERT_EQ(nodes.size(), 3U);
+  EXPECT_EQ(nodes[0].children.size(), 2U);
+  // Nested clock reads bracket each other; the slack only absorbs the
+  // rounding of the double-valued differences.
+  EXPECT_GE(self_host_s(nodes, 0), -1e-9);
+  EXPECT_DOUBLE_EQ(self_host_s(nodes, 0),
+                   nodes[0].host_s - nodes[1].host_s - nodes[2].host_s);
+  // Children close first, so their events precede the parent's.
+  const std::vector<Event> events = tracer.events();
+  ASSERT_EQ(events.size(), 3U);
+  EXPECT_EQ(events[0].name, "a");
+  EXPECT_EQ(events[1].name, "b");
+  EXPECT_EQ(events[2].name, "outer");
 }
 
 // ---------------------------------------------------------------------------
@@ -256,16 +303,16 @@ TEST(AttributedProfileReport, ViewsAndRooflinePlacement) {
   AttributionProfile p;
   p.open("pipeline");
   p.open("host_stage");  // no counters at all: host-only span
-  p.close();
+  p.close(0.25);
   p.open("kernel");
   CounterVector cv = make_cv(1000, 400, 1e-3);
   cv.hbm_read_bytes = 4096;
   p.add(cv);
-  p.close();
+  p.close(0.5);
   p.open("kernel");  // same name again: bottom-up must aggregate
   p.add(cv);
-  p.close();
-  p.close();
+  p.close(0.5);
+  p.close(2.0);
 
   const model::AttributedProfile report =
       model::build_attributed_profile(p.nodes(), simt::DeviceSpec::a100());
@@ -274,6 +321,12 @@ TEST(AttributedProfileReport, ViewsAndRooflinePlacement) {
   EXPECT_EQ(report.top_down[1].path, "pipeline/host_stage");
   EXPECT_EQ(report.top_down[2].path, "pipeline/kernel");
   EXPECT_EQ(report.top_down[3].path, "pipeline/kernel");
+
+  // Host seconds: inclusive, and net of children.
+  EXPECT_EQ(report.top_down[0].host_s, 2.0);
+  EXPECT_EQ(report.top_down[0].self_host_s, 0.75);
+  EXPECT_EQ(report.top_down[1].host_s, 0.25);
+  EXPECT_EQ(report.top_down[1].self_host_s, 0.25);
 
   // Host-only span: no roofline placement.
   EXPECT_STREQ(report.top_down[1].bound, "n/a");
@@ -288,6 +341,7 @@ TEST(AttributedProfileReport, ViewsAndRooflinePlacement) {
   ASSERT_FALSE(report.bottom_up.empty());
   EXPECT_EQ(report.bottom_up[0].name, "kernel");
   EXPECT_EQ(report.bottom_up[0].self.cycles, 2000U);
+  EXPECT_EQ(report.bottom_up[0].self_host_s, 1.0);
   for (std::size_t i = 1; i < report.bottom_up.size(); ++i) {
     EXPECT_LE(report.bottom_up[i].self.cycles,
               report.bottom_up[i - 1].self.cycles);
@@ -300,7 +354,12 @@ TEST(AttributedProfileReport, ViewsAndRooflinePlacement) {
   model::print_attributed_profile(flame, report);
   EXPECT_NE(js.str().find("\"top_down\""), std::string::npos);
   EXPECT_NE(js.str().find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(js.str().find("\"host_s\": 2, \"self_host_s\": 0.75"),
+            std::string::npos);
   EXPECT_NE(csv.str().find("view,path,name,depth"), std::string::npos);
+  const std::string csv_header = csv.str().substr(0, csv.str().find('\n'));
+  EXPECT_EQ(csv_header.find("host_s"), std::string::npos)
+      << "the CSV stays modelled-only";
   EXPECT_NE(flame.str().find("hottest by self cycles"), std::string::npos);
 }
 
