@@ -4,6 +4,7 @@
 // 1..8 simulated A100s and reports makespan speed-up and balance.
 
 #include <iostream>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "model/ascii_plot.hpp"
@@ -35,10 +36,10 @@ int main() {
 
   double base = 0.0;
   for (std::uint32_t ranks : {1U, 2U, 4U, 8U}) {
-    // Registry-routed fleet construction (same results as an explicit
-    // device list; with no plan, nothing is armed).
-    const auto r =
-        pipeline::run_multi_gpu_resilient(input, "a100", ranks, {}, nullptr);
+    // With no plan, nothing is armed.
+    const auto r = pipeline::run_multi_gpu_resilient(
+        input, std::vector<simt::DeviceSpec>(ranks, simt::DeviceSpec::a100()),
+        {}, nullptr);
     if (ranks == 1) base = r.makespan_s;
     const double speedup = base / r.makespan_s;
     t.add_row({std::to_string(ranks),

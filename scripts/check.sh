@@ -15,7 +15,7 @@
 # must match byte for byte) and once traced (trace and metrics JSON
 # must parse, and the trace must hold complete kmer_count, kmer_filter,
 # contig_generation and align span events with dur >= 0 on the
-# dist-driver track).
+# driver track).
 # Leg 2 (ASan+UBSan): rebuilds with AddressSanitizer + UBSan and runs the
 # parser fuzz corpus, the fault matrix, the checkpoint suite, the
 # serving suite with its 10k-job fault-storm soak gate (every job must be
@@ -69,10 +69,12 @@ TSAN_OPTIONS="halt_on_error=1" \
 # interleaved insert/increment storms, concurrent shard rebuilds and the
 # streaming double-buffer all run under the race detector, differenced
 # against serial counting and the test-only per-chunk merge oracle at
-# 1/2/4/8 threads.
+# 1/2/4/8 threads. The multi-device suites run every rank's tasks and
+# every device-loss recovery rerun on one shared pool, so a rank's run
+# racing another's on the pool's kernel contexts trips TSan here too.
 TSAN_OPTIONS="halt_on_error=1" \
   "$BUILD/tests/tests_pipeline" \
-  --gtest_filter='FrontendParallel.*:ConcurrentKmerTable.*'
+  --gtest_filter='FrontendParallel.*:ConcurrentKmerTable.*:MultiGpu.*:MultiGpuResilient.*:Partition.*'
 
 # The fault matrix crosses every injection seam with serial and 4-thread
 # execution: retries, quarantines, watchdog aborts and device loss all
@@ -159,14 +161,14 @@ echo "check.sh: flight recorder dumps present and valid."
   python3 -m json.tool check_dist_trace.json > /dev/null
   python3 -m json.tool check_dist_metrics.json > /dev/null
   # The driver's spans are the library's per-layer host clock: each layer
-  # must have a complete event with a non-negative duration on the
-  # dist-driver track.
+  # must have a complete event with a non-negative duration on the driver
+  # track, the one both pipeline drivers and their assemblers share.
   python3 - check_dist_trace.json <<'EOF'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 driver = {(e["pid"], e["tid"]) for e in events
           if e.get("ph") == "M" and e.get("name") == "thread_name"
-          and e["args"]["name"] == "dist-driver"}
+          and e["args"]["name"] == "driver"}
 durs = {}
 for e in events:
     if e.get("ph") == "X" and (e["pid"], e["tid"]) in driver:
@@ -174,7 +176,7 @@ for e in events:
 for layer in ("kmer_count", "kmer_filter", "contig_generation", "align"):
     d = durs.get(layer)
     if not d or min(d) < 0:
-        sys.exit(f"check.sh: FAIL - dist-driver span {layer} has durations {d!r}")
+        sys.exit(f"check.sh: FAIL - driver span {layer} has durations {d!r}")
 EOF
 )
 echo "check.sh: distributed pipeline stdout thread-invariant; trace/metrics JSON valid; layer spans present."

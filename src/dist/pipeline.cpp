@@ -43,7 +43,6 @@ class RankFleet final : public pipeline::detail::FrontEnd {
              opts.assembly.fault_plan),
         table_(map_, msg_) {
     log_prefix = "[dist]";
-    track = "dist-driver";
     root_span = "dist_pipeline";
     failures = &result.failures;
   }
@@ -115,8 +114,8 @@ class RankFleet final : public pipeline::detail::FrontEnd {
     fire_rank_losses(kPhaseRoundBase + static_cast<std::uint32_t>(round));
   }
 
-  bool assemble(const core::AssemblyInput& input,
-                core::AssemblyResult& out) override {
+  bool assemble(const core::AssemblyInput& input, core::AssemblyResult& out,
+                core::WarpExecutionEngine* pool) override {
     const std::vector<std::uint32_t> live = map_.live_ranks();
     if (live.size() == 1) {
       // One live rank: the exact single-device call run_pipeline makes,
@@ -127,42 +126,41 @@ class RankFleet final : public pipeline::detail::FrontEnd {
       return false;
     }
 
-    // Owner-computes partitioning of the round: contigs and their reads
-    // scatter from the coordinator (lowest live rank) to the workers,
-    // extensions gather back. Payloads stay in shared memory; the traffic
-    // is billed on the matching links. The same LPT partition
-    // run_multi_gpu_resilient computes internally prices the scatter.
-    std::vector<std::uint32_t> contig_rank;
+    const std::vector<simt::DeviceSpec> devices(live.size(), device_);
+    pipeline::MultiGpuResult mgr = pipeline::run_multi_gpu_resilient(
+        input, devices, opts.assembly, opts.assembly.fault_plan, &live, pool);
+
+    // Owner-computes partitioning of the round: each worker's contigs and
+    // their reads scatter from the coordinator (lowest live rank), and
+    // their extensions gather back. Payloads stay in shared memory; the
+    // traffic is billed on the matching links, priced from the run's own
+    // partition (mgr.ranks[p].contig_ids).
     if (input.num_contigs() > 0) {
-      const std::vector<core::AssemblyInput> parts = pipeline::partition_input(
-          input, static_cast<std::uint32_t>(live.size()), &contig_rank);
-      for (std::size_t p = 1; p < parts.size(); ++p) {
-        std::uint64_t bytes = parts[p].reads.total_bases();
-        for (const bio::Contig& c : parts[p].contigs) bytes += c.seq.size();
-        msg_.bill_bulk(live[0], live[p],
-                       parts[p].contigs.size() + parts[p].reads.size(),
+      for (std::size_t p = 1; p < live.size(); ++p) {
+        const pipeline::RankReport& rep = mgr.ranks[p];
+        if (rep.contig_ids.empty()) continue;
+        std::uint64_t bytes = 0;
+        for (const std::uint32_t id : rep.contig_ids) {
+          bytes += input.contigs[id].seq.size();
+          for (const auto* side : {&input.left_reads, &input.right_reads}) {
+            for (const std::uint32_t read : (*side)[id]) {
+              bytes += input.reads.seq(read).size();
+            }
+          }
+        }
+        msg_.bill_bulk(live[0], live[p], rep.contig_ids.size() + rep.reads,
                        bytes);
       }
       msg_.flush();
-    }
-
-    const std::vector<simt::DeviceSpec> devices(live.size(), device_);
-    pipeline::MultiGpuResult mgr = pipeline::run_multi_gpu_resilient(
-        input, devices, opts.assembly, opts.assembly.fault_plan, &live);
-
-    if (!contig_rank.empty()) {
-      std::vector<std::uint64_t> gmsgs(live.size(), 0);
-      std::vector<std::uint64_t> gbytes(live.size(), 0);
-      for (std::size_t i = 0; i < contig_rank.size(); ++i) {
-        const std::uint32_t p = contig_rank[i];
-        ++gmsgs[p];
-        gbytes[p] +=
-            mgr.extensions[i].left.size() + mgr.extensions[i].right.size();
-      }
       for (std::size_t p = 1; p < live.size(); ++p) {
-        if (gmsgs[p] != 0) {
-          msg_.bill_bulk(live[p], live[0], gmsgs[p], gbytes[p]);
+        const pipeline::RankReport& rep = mgr.ranks[p];
+        if (rep.contig_ids.empty()) continue;
+        std::uint64_t bytes = 0;
+        for (const std::uint32_t id : rep.contig_ids) {
+          bytes += mgr.extensions[id].left.size() +
+                   mgr.extensions[id].right.size();
         }
+        msg_.bill_bulk(live[p], live[0], rep.contig_ids.size(), bytes);
       }
       msg_.flush();
     }

@@ -16,10 +16,11 @@
 /// remote degree probes and walks them with that walker's step loop,
 /// handing a walk to the next node's owner where it crosses ranks
 /// (dist::frontend). The per-round local assembly runs one simulated
-/// device per live rank through pipeline::run_multi_gpu_resilient. All
-/// communication is billed through one MessageLayer against the device's
-/// NetworkSpec. The stage loop is run_pipeline's (pipeline/driver.hpp);
-/// this driver adds only what a rank fleet does.
+/// device per live rank through pipeline::run_multi_gpu_resilient, on the
+/// driver's one thread pool. All communication is billed through one
+/// MessageLayer against the device's NetworkSpec. The stage loop is
+/// run_pipeline's (pipeline/driver.hpp); this driver adds only what a rank
+/// fleet does.
 ///
 /// Contract: every pipeline output (contigs, extensions, per-round stats,
 /// DBG stats) is bit-identical to pipeline::run_pipeline on one rank, for

@@ -12,7 +12,7 @@ class AttributionProfile;
 
 /// Private seam between the one pipeline driver and its two front ends.
 /// run_stages owns the Fig. 2 stage sequence for run_pipeline and
-/// dist::run_distributed alike: pool and assembler, driver track, the
+/// dist::run_distributed alike: pool and assembler, the "driver" track, the
 /// stage spans (attribution nodes with host time), pipeline.* counters,
 /// log lines, checkpointing and the k-round loop with its reference path,
 /// single-device round and IterationReport.
@@ -32,9 +32,8 @@ class FrontEnd {
 
   const bio::ReadSet& reads;
   const PipelineOptions& opts;
-  /// The log-line prefix, the driver's host track and the root span.
+  /// The log-line prefix and the root span.
   const char* log_prefix = "[pipeline]";
-  const char* track = "driver";
   const char* root_span = "pipeline";
   /// Where the single-device round records its faults (null: nowhere).
   resilience::FailureReport* failures = nullptr;
@@ -51,9 +50,11 @@ class FrontEnd {
   /// Runs before round `round`'s alignment.
   virtual void begin_round(std::size_t /*round*/) {}
   /// Assembles a round on more than one device into `out` (extensions
-  /// and total_time_s); false leaves it to run_stages's single device.
+  /// and total_time_s), on run_stages's pool; false leaves it to
+  /// run_stages's single device.
   virtual bool assemble(const core::AssemblyInput& /*input*/,
-                        core::AssemblyResult& /*out*/) {
+                        core::AssemblyResult& /*out*/,
+                        core::WarpExecutionEngine* /*pool*/) {
     return false;
   }
   /// The fault-plan rank the single-device round runs as.

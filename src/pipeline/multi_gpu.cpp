@@ -12,19 +12,16 @@
 
 namespace lassm::pipeline {
 
-std::vector<core::AssemblyInput> partition_input(
-    const core::AssemblyInput& in, std::uint32_t num_ranks,
-    std::vector<std::uint32_t>* rank_of) {
-  if (num_ranks == 0) {
-    throw std::invalid_argument("partition_input: num_ranks must be > 0");
-  }
-  num_ranks = std::min<std::uint32_t>(
-      num_ranks, std::max<std::size_t>(1, in.contigs.size()));
+namespace {
 
-  // Greedy LPT: heaviest contigs first onto the least-loaded rank.
-  std::vector<std::uint32_t> order(in.contigs.size());
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(),
+/// Greedy LPT over `ids` (ascending): heaviest contig first onto the
+/// least-loaded of `num_ranks` ranks, clamped to [1, ids.size()].
+std::vector<std::vector<std::uint32_t>> lpt_split(
+    const core::AssemblyInput& in, std::vector<std::uint32_t> ids,
+    std::uint32_t num_ranks) {
+  num_ranks = std::min<std::uint32_t>(
+      num_ranks, std::max<std::size_t>(1, ids.size()));
+  std::stable_sort(ids.begin(), ids.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      return core::contig_work_estimate(in, a) >
                             core::contig_work_estimate(in, b);
@@ -32,29 +29,33 @@ std::vector<core::AssemblyInput> partition_input(
 
   std::vector<std::uint64_t> load(num_ranks, 0);
   std::vector<std::vector<std::uint32_t>> members(num_ranks);
-  for (std::uint32_t id : order) {
+  for (std::uint32_t id : ids) {
     const auto rank = static_cast<std::uint32_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
     members[rank].push_back(id);
     load[rank] += core::contig_work_estimate(in, id) + 1;
   }
-  // Keep each rank's contigs in input order (determinism of downstream
-  // binning does not depend on it, but reports read better).
   for (auto& m : members) std::sort(m.begin(), m.end());
+  return members;
+}
 
-  if (rank_of != nullptr) {
-    rank_of->assign(in.contigs.size(), 0);
-    for (std::uint32_t r = 0; r < num_ranks; ++r) {
-      for (std::uint32_t id : members[r]) (*rank_of)[id] = r;
-    }
-  }
+/// All of run_multi_gpu_resilient's errors share one prefix; keeping it in
+/// one place (rather than repeated in every message literal) is the
+/// error-message dedup the call sites rely on for stable grep-ability.
+[[noreturn]] void fail(ErrorCode code, const std::string& what) {
+  throw StatusError(Error(code, "run_multi_gpu_resilient: " + what));
+}
 
-  std::vector<core::AssemblyInput> parts;
-  parts.reserve(num_ranks);
-  for (const std::vector<std::uint32_t>& m : members) {
-    parts.push_back(subset_input(in, m));
+}  // namespace
+
+std::vector<std::vector<std::uint32_t>> partition_contigs(
+    const core::AssemblyInput& in, std::uint32_t num_ranks) {
+  if (num_ranks == 0) {
+    throw std::invalid_argument("partition_contigs: num_ranks must be > 0");
   }
-  return parts;
+  std::vector<std::uint32_t> ids(in.contigs.size());
+  std::iota(ids.begin(), ids.end(), 0U);
+  return lpt_split(in, std::move(ids), num_ranks);
 }
 
 core::AssemblyInput subset_input(const core::AssemblyInput& in,
@@ -106,22 +107,12 @@ void recover_on_device(const core::LocalAssembler& assembler,
   result.failures.rebalances.push_back(std::move(ev));
 }
 
-namespace {
-
-/// All of this function's errors share one prefix; keeping it in one place
-/// (rather than repeated in every message literal) is the error-message
-/// dedup the call sites rely on for stable grep-ability.
-[[noreturn]] void fail(ErrorCode code, const std::string& what) {
-  throw StatusError(Error(code, "run_multi_gpu_resilient: " + what));
-}
-
-}  // namespace
-
 MultiGpuResult run_multi_gpu_resilient(
     const core::AssemblyInput& in,
     const std::vector<simt::DeviceSpec>& devices,
     const core::AssemblyOptions& opts, const resilience::FaultPlan* plan,
-    const std::vector<std::uint32_t>* rank_ids) {
+    const std::vector<std::uint32_t>* rank_ids,
+    core::WarpExecutionEngine* engine) {
   if (devices.empty()) {
     fail(ErrorCode::kInvalidArgument, "device list must not be empty");
   }
@@ -133,17 +124,6 @@ MultiGpuResult run_multi_gpu_resilient(
   const auto phys_rank = [&](std::uint32_t index) {
     return rank_ids != nullptr ? (*rank_ids)[index] : index;
   };
-
-  std::vector<std::uint32_t> rank_of;
-  const auto parts = partition_input(
-      in, static_cast<std::uint32_t>(devices.size()), &rank_of);
-
-  // members[r]: the rank's contigs as global input indices, in the rank's
-  // local order (ascending — partition_input sorts each rank's members).
-  std::vector<std::vector<std::uint32_t>> members(parts.size());
-  for (std::uint32_t id = 0; id < in.contigs.size(); ++id) {
-    members[rank_of[id]].push_back(id);
-  }
 
   MultiGpuResult result;
   result.extensions.resize(in.contigs.size());
@@ -161,15 +141,16 @@ MultiGpuResult run_multi_gpu_resilient(
   };
   std::vector<LostWork> lost;
 
-  // Runs `part` on device `d` as `fault_rank`, accounts its faults and
-  // time, and places its extensions at the global contig ids `ids`.
+  // Runs the contigs `ids` (ascending global indices) on device `d` as
+  // `fault_rank`, accounts their faults and time, and places their
+  // extensions at `ids`.
   const auto run_part = [&](std::uint32_t d, std::uint32_t fault_rank,
-                            const core::AssemblyInput& part,
                             const std::vector<std::uint32_t>& ids) {
     core::AssemblyOptions ropts = opts;
     ropts.fault_plan = plan;
     ropts.fault_rank = fault_rank;
-    core::AssemblyResult rr = core::LocalAssembler(devices[d], ropts).run(part);
+    core::AssemblyResult rr = core::LocalAssembler(devices[d], ropts)
+                                  .run(subset_input(in, ids), engine);
     result.failures.merge(rr.failures);
     result.total_gpu_s += rr.total_time_s;
     for (std::size_t local = 0; local < ids.size(); ++local) {
@@ -179,14 +160,17 @@ MultiGpuResult run_multi_gpu_resilient(
     return rr;
   };
 
-  for (std::uint32_t r = 0; r < parts.size(); ++r) {
+  const std::vector<std::vector<std::uint32_t>> members =
+      partition_contigs(in, static_cast<std::uint32_t>(devices.size()));
+  for (std::uint32_t r = 0; r < members.size(); ++r) {
     // Completed batches' extensions survive a loss (copied back per
     // batch); only the unfinished tail needs recovery.
-    const core::AssemblyResult rr =
-        run_part(r, phys_rank(r), parts[r], members[r]);
+    const core::AssemblyResult rr = run_part(r, phys_rank(r), members[r]);
     RankReport& rep = result.ranks[r];
-    rep.contigs = parts[r].contigs.size();
-    rep.reads = parts[r].reads.size();
+    rep.contig_ids = members[r];
+    for (std::uint32_t id : members[r]) {
+      rep.reads += in.left_reads[id].size() + in.right_reads[id].size();
+    }
     rep.time_s = rr.total_time_s;
     rep.lost = rr.device_lost;
     if (rr.device_lost) {
@@ -229,18 +213,12 @@ MultiGpuResult run_multi_gpu_resilient(
     }
     std::sort(orphan_ids.begin(), orphan_ids.end());
 
-    const core::AssemblyInput sub = subset_input(in, orphan_ids);
-    std::vector<std::uint32_t> sub_rank_of;
-    const auto sub_parts = partition_input(
-        sub, static_cast<std::uint32_t>(survivors.size()), &sub_rank_of);
-    std::vector<std::vector<std::uint32_t>> sub_members(sub_parts.size());
-    for (std::uint32_t i = 0; i < sub.contigs.size(); ++i) {
-      sub_members[sub_rank_of[i]].push_back(orphan_ids[i]);
-    }
-
-    for (std::uint32_t s = 0; s < sub_parts.size(); ++s) {
+    const std::vector<std::vector<std::uint32_t>> moved =
+        lpt_split(in, std::move(orphan_ids),
+                  static_cast<std::uint32_t>(survivors.size()));
+    for (std::uint32_t s = 0; s < moved.size(); ++s) {
       const core::AssemblyResult rr =
-          run_part(survivors[s], kRecoveryRank, sub_parts[s], sub_members[s]);
+          run_part(survivors[s], kRecoveryRank, moved[s]);
       if (rr.device_lost) {
         fail(ErrorCode::kDeviceLost, "recovery rerun reported device loss");
       }
@@ -262,21 +240,6 @@ MultiGpuResult run_multi_gpu_resilient(
     result.makespan_s = std::max(result.makespan_s, rep.time_s);
   }
   return result;
-}
-
-MultiGpuResult run_multi_gpu_resilient(const core::AssemblyInput& in,
-                                       std::string_view device_key,
-                                       std::uint32_t num_ranks,
-                                       const core::AssemblyOptions& opts,
-                                       const resilience::FaultPlan* plan) {
-  const simt::DeviceSpec* spec = simt::DeviceSpec::find(device_key);
-  if (spec == nullptr) {
-    fail(ErrorCode::kInvalidArgument,
-         "unknown device \"" + std::string(device_key) +
-             "\" (registered: " + simt::DeviceSpec::zoo_slugs() + ")");
-  }
-  const std::vector<simt::DeviceSpec> devices(num_ranks, *spec);
-  return run_multi_gpu_resilient(in, devices, opts, plan);
 }
 
 }  // namespace lassm::pipeline

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/assembler.hpp"
@@ -17,8 +16,11 @@ namespace lassm::pipeline {
 
 struct RankReport {
   std::uint32_t rank = 0;
-  std::uint64_t contigs = 0;
-  std::uint64_t reads = 0;
+  /// The contigs the partition gave this rank, as ascending indices into
+  /// the input's contig list. A lost rank keeps its list; the contigs
+  /// recovered onto survivors are not added to theirs.
+  std::vector<std::uint32_t> contig_ids;
+  std::uint64_t reads = 0;    ///< read mappings scattered with contig_ids
   double time_s = 0.0;        ///< modelled kernel time on this rank's GPU
   /// Resilient runs only: this rank's simulated device was lost mid-run
   /// and its unfinished contigs were rebalanced onto survivors.
@@ -45,18 +47,16 @@ struct MultiGpuResult {
   }
 };
 
-/// Splits the input into per-rank inputs (contigs + only their mapped
-/// reads, reindexed). Greedy LPT on the per-contig read count. Exposed for
-/// testing; run_multi_gpu_resilient uses it internally. rank_of (optional, size =
-/// contigs) receives each contig's rank.
-std::vector<core::AssemblyInput> partition_input(
-    const core::AssemblyInput& in, std::uint32_t num_ranks,
-    std::vector<std::uint32_t>* rank_of = nullptr);
+/// Greedy LPT split of the input's contigs across `num_ranks` ranks
+/// (clamped to the contig count, at least 1), heaviest contig first onto
+/// the least-loaded rank, by read count. Returns each rank's contig
+/// indices in ascending order. Throws std::invalid_argument on 0 ranks.
+std::vector<std::vector<std::uint32_t>> partition_contigs(
+    const core::AssemblyInput& in, std::uint32_t num_ranks);
 
 /// Sub-input over a subset of contigs (`ids`, ascending global order),
-/// with each contig's mapped reads copied and reindexed — the same
-/// localisation partition_input performs per rank. Device-loss recovery
-/// and the distributed driver both rebuild work lists through this.
+/// with each contig's mapped reads copied and reindexed: the input one rank
+/// of run_multi_gpu_resilient, or one recovery rerun, assembles.
 core::AssemblyInput subset_input(const core::AssemblyInput& in,
                                  const std::vector<std::uint32_t>& ids);
 
@@ -100,21 +100,19 @@ void recover_on_device(const core::LocalAssembler& assembler,
 /// carry those ids instead of vector indices. The distributed driver uses
 /// this to run a round over the surviving subset of a larger rank set
 /// without remapping the plan's scheduled device-loss events.
+///
+/// `engine` (optional) is the caller's thread pool, handed to every rank's
+/// and every recovery rerun's LocalAssembler::run, so a round spawns no
+/// threads of its own. Same precondition as LocalAssembler::run: it comes
+/// from make_engine() on the fleet's device with `opts` and `plan` as its
+/// fault plan (so a fleet sharing one pool is homogeneous). Results are
+/// bit-identical with or without it.
 MultiGpuResult run_multi_gpu_resilient(
     const core::AssemblyInput& in,
     const std::vector<simt::DeviceSpec>& devices,
     const core::AssemblyOptions& opts,
     const resilience::FaultPlan* plan,
-    const std::vector<std::uint32_t>* rank_ids = nullptr);
-
-/// Homogeneous-fleet convenience: resolves `device_key` through the
-/// DeviceSpec::find() registry (slug, name or vendor alias) and runs
-/// `num_ranks` copies of it. Throws StatusError(kInvalidArgument) naming
-/// the registered slugs when the key matches nothing.
-MultiGpuResult run_multi_gpu_resilient(const core::AssemblyInput& in,
-                                       std::string_view device_key,
-                                       std::uint32_t num_ranks,
-                                       const core::AssemblyOptions& opts,
-                                       const resilience::FaultPlan* plan);
+    const std::vector<std::uint32_t>* rank_ids = nullptr,
+    core::WarpExecutionEngine* engine = nullptr);
 
 }  // namespace lassm::pipeline

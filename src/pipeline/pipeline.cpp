@@ -211,7 +211,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
 
   trace::Tracer* const tracer = opts.assembly.trace;
   const std::uint32_t driver_track =
-      tracer != nullptr ? tracer->track("host", front.track) : 0;
+      tracer != nullptr ? tracer->track("host", "driver") : 0;
   const auto span = [&](std::string name) {
     return trace::Span(tracer, driver_track, std::move(name));
   };
@@ -225,13 +225,13 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
   trace::Span root_span = span(front.root_span);
 
   // One shared thread pool for the whole pipeline: the front-end stages
-  // run on it as host batches and every simulated-assembly round runs its
-  // warp launches on it, so threads spawn once per pipeline instead of
-  // once per stage. n_threads == 1 (no pool) is the serial oracle; an
-  // armed kPoolStart fault seam degrades the pool at construction exactly
-  // as it would degrade each per-round pool (the seam is a pure function
-  // of the plan). Multi-device rounds run on their own per-rank
-  // assemblers inside run_multi_gpu_resilient.
+  // run on it as host batches and every simulated-assembly round (on one
+  // device or on every rank of a fleet, recovery reruns included) runs
+  // its warp launches on it, so threads spawn once per pipeline instead of
+  // once per stage or rank. n_threads == 1 (no pool) is the serial oracle;
+  // an armed kPoolStart fault seam degrades the pool at construction
+  // exactly as it would degrade each per-round pool (the seam is a pure
+  // function of the plan).
   std::optional<core::LocalAssembler> assembler;
   if (!opts.use_reference) assembler.emplace(device, opts.assembly);
   std::unique_ptr<core::WarpExecutionEngine> pool;
@@ -368,7 +368,7 @@ PipelineResult run_stages(const simt::DeviceSpec& device, std::ostream* log,
               ? core::reference_extend(input, opts.assembly)
               : core::reference_extend_parallel(input, opts.assembly,
                                                 opts.assembly.n_threads);
-    } else if (!front.assemble(input, out)) {
+    } else if (!front.assemble(input, out, pool.get())) {
       // One device, run as front.device_rank(). A device lost mid-round
       // reruns its unfinished contigs under kRecoveryRank, so the round
       // matches an undisturbed run.

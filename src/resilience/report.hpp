@@ -21,6 +21,7 @@ struct TaskFault {
   bool quarantined = false;      ///< true when retries were exhausted
   ErrorCode code = ErrorCode::kTaskFailed;
   std::string message;
+  bool operator==(const TaskFault&) const = default;
 };
 
 /// One device-loss rebalance: `lost_rank` died after `after_batch` batches
@@ -30,6 +31,7 @@ struct RebalanceEvent {
   std::uint32_t after_batch = 0;
   std::uint64_t moved_contigs = 0;
   std::vector<std::uint32_t> survivors;
+  bool operator==(const RebalanceEvent&) const = default;
 };
 
 /// Aggregated failure record for a run (or a rank of a multi-device run).
@@ -55,6 +57,8 @@ struct FailureReport {
 
   /// One-paragraph human summary ("clean" when clean()).
   std::string summary() const;
+
+  bool operator==(const FailureReport&) const = default;
 };
 
 }  // namespace lassm::resilience

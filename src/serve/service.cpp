@@ -468,22 +468,7 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
 
   core::AssemblyResult result;
   try {
-    if (cfg_.ranks > 1) {
-      // Multi-rank dispatch: the combined batch is LPT-partitioned across
-      // `ranks` copies of the device. Extensions are bit-identical to the
-      // single-device run (the reason ServiceConfig::ranks stays out of
-      // the cache fingerprint); device loss is recovered inside by
-      // rebalancing onto the surviving ranks. Only the modelled time
-      // changes: the fleet makespan replaces the single-device total.
-      pipeline::MultiGpuResult mgr = pipeline::run_multi_gpu_resilient(
-          combined, std::vector<simt::DeviceSpec>(cfg_.ranks, cfg_.device),
-          armed_options(cfg_, plan_, cfg_.assembly.fault_rank), plan_);
-      result.extensions = std::move(mgr.extensions);
-      result.failures = std::move(mgr.failures);
-      result.total_time_s = mgr.makespan_s;
-    } else {
-      result = assembler_.run(combined, engine_.get());
-    }
+    result = assembler_.run(combined, engine_.get());
   } catch (const StatusError& e) {
     for (Job& job : batch) retry_or_fail(job, e.error());
     return;
@@ -521,8 +506,7 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
       return;
     }
   }
-  // Either path recovered its lost devices (multi-rank dispatch does it
-  // internally); surface the losses the same way.
+  // Surface a recovered device loss in the counters and job reports.
   const bool recovered = !result.failures.rebalances.empty();
   resilience::RebalanceEvent rebalance;
   if (recovered) {

@@ -51,18 +51,6 @@ struct ServiceConfig {
   /// arms an owned empty plan so jobs always ride the isolated path.
   core::AssemblyOptions assembly;
 
-  /// Simulated device ranks per engine run (1 = the single-device path).
-  /// With ranks > 1, coalesced batches dispatch through
-  /// pipeline::run_multi_gpu_resilient over `ranks` copies of `device`:
-  /// extensions are bit-identical at every rank count (contigs are
-  /// independent and fault keys content-derived), so `ranks` is
-  /// deliberately NOT part of the result-cache fingerprint — a cached
-  /// single-rank result answers a multi-rank config and vice versa. Only
-  /// the reported modelled time changes (the fleet makespan), and device
-  /// loss recovers by cross-rank rebalancing instead of the in-place
-  /// recovery rerun.
-  std::uint32_t ranks = 1;
-
   std::size_t queue_capacity = 64;   ///< admission bound; overflow sheds
   std::size_t cache_capacity = 256;  ///< ResultCache entries; 0 disables
 

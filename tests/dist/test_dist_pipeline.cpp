@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bio/dna.hpp"
 #include "bio/rng.hpp"
 #include "dist/partition.hpp"
 #include "pipeline/multi_gpu.hpp"
@@ -495,6 +496,93 @@ TEST(DistPipeline, WeakScalingKeepsPartitionAndTrafficBars) {
 }
 
 // ---------------------------------------------------------------------------
+// Ground truth. With error-free reads of a known community, every final
+// contig (DBG contig plus every round's extensions) must be a substring of
+// some genome or of its reverse complement, whichever driver, thread count
+// or rank count assembled it.
+
+struct Community {
+  std::vector<std::string> genomes;
+  bio::ReadSet reads;
+};
+
+/// Four species of 4-12 kb each, log-normally skewed abundances, and
+/// error-free 130 bp shotgun reads sampled by abundance x length at
+/// `coverage` over the whole community.
+Community error_free_community(std::uint64_t seed, double coverage) {
+  constexpr std::uint32_t kSpecies = 4;
+  constexpr std::uint32_t kReadLen = 130;
+  bio::Xoshiro256 rng(seed);
+  Community c;
+  std::vector<double> weight;
+  double total_weight = 0.0;
+  std::uint64_t total_bases = 0;
+  for (std::uint32_t i = 0; i < kSpecies; ++i) {
+    c.genomes.push_back(random_seq(rng.next(), 4000 + rng.below(8000)));
+    const double len = static_cast<double>(c.genomes.back().size());
+    weight.push_back(std::exp(rng.gaussian() * 0.7) * len);
+    total_weight += weight.back();
+    total_bases += c.genomes.back().size();
+  }
+  const auto n_reads = static_cast<std::uint64_t>(
+      coverage * static_cast<double>(total_bases) / kReadLen);
+  for (std::uint64_t r = 0; r < n_reads; ++r) {
+    double x = rng.uniform() * total_weight;
+    std::uint32_t i = 0;
+    while (i + 1 < kSpecies && x > weight[i]) x -= weight[i++];
+    const std::string& g = c.genomes[i];
+    c.reads.append(g.substr(rng.below(g.size() - kReadLen), kReadLen), 35);
+  }
+  return c;
+}
+
+void expect_contigs_in_genomes(const pipeline::PipelineResult& r,
+                               const Community& c) {
+  std::vector<std::string> strands;
+  for (const std::string& g : c.genomes) {
+    strands.push_back(g);
+    strands.push_back(bio::reverse_complement(g));
+  }
+  ASSERT_FALSE(r.contigs.empty());
+  for (const bio::Contig& contig : r.contigs) {
+    const bool found =
+        std::any_of(strands.begin(), strands.end(), [&](const std::string& s) {
+          return s.find(contig.seq) != std::string::npos;
+        });
+    EXPECT_TRUE(found) << "contig " << contig.id << " (" << contig.seq.size()
+                       << " bp) occurs in no genome strand";
+  }
+  std::uint64_t extended = 0;
+  for (const pipeline::IterationReport& it : r.iterations) {
+    extended += it.extension_bases;
+  }
+  EXPECT_GT(extended, 0U) << "vacuous: no round extended any contig";
+}
+
+TEST(GroundTruth, ErrorFreeCommunityAssemblesOnlyGenomeSequence) {
+  const Community c = error_free_community(2024, 12.0);
+  const auto device = simt::DeviceSpec::a100();
+  for (const unsigned threads : {1u, 4u}) {
+    pipeline::PipelineOptions opts;
+    opts.assembly.n_threads = threads;
+    {
+      SCOPED_TRACE("run_pipeline threads=" + std::to_string(threads));
+      expect_contigs_in_genomes(pipeline::run_pipeline(c.reads, device, opts),
+                                c);
+    }
+    {
+      SCOPED_TRACE("run_distributed ranks=4 threads=" +
+                   std::to_string(threads));
+      DistOptions dopts;
+      dopts.ranks = 4;
+      dopts.pipeline = opts;
+      expect_contigs_in_genomes(
+          run_distributed(c.reads, device, dopts).pipeline, c);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver skeleton. run_pipeline and run_distributed share one stage loop;
 // the log hashes and the prior tree hashes were recorded before they did,
 // so the merge provably left unchanged what a caller observes of either
@@ -626,11 +714,25 @@ TEST(DriverSkeleton, RunPipelineIsPinned) {
 }
 
 TEST(DriverSkeleton, RunDistributedIsPinned) {
-  // The per-rank assemblers' spans are on the shared "driver" track.
+  // Both drivers share the "driver" track: each live rank's assembler
+  // (four per round here) nests its launch, side and assembly spans inside
+  // the round's span, as run_pipeline's one assembler does.
   const std::vector<std::string> stages{
       "kmer_count", "kmer_filter", "kmer_analysis", "contig_generation",
-      "align",      "k-round 21",  "align",         "k-round 33",
-      "dist_pipeline"};
+      "align",
+      "launch right batch 0", "side right", "launch left batch 0",
+      "side left", "assembly",
+      "launch right batch 0", "side right", "launch left batch 0",
+      "side left", "assembly",
+      "launch right batch 0", "side right", "assembly",
+      "launch right batch 0", "side right", "assembly",
+      "k-round 21", "align",
+      "launch right batch 0", "side right", "assembly",
+      "launch right batch 0", "side right", "launch left batch 0",
+      "side left", "assembly",
+      "launch right batch 0", "side right", "assembly",
+      "launch right batch 0", "side right", "assembly",
+      "k-round 33", "dist_pipeline"};
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     trace::Tracer tracer;
@@ -640,7 +742,7 @@ TEST(DriverSkeleton, RunDistributedIsPinned) {
     opts.pipeline.assembly.trace = &tracer;
     std::ostringstream log;
     run_distributed(workload_reads(), simt::DeviceSpec::a100(), opts, &log);
-    const Skeleton s = skeleton_of(tracer, log.str(), "dist-driver");
+    const Skeleton s = skeleton_of(tracer, log.str(), "driver");
     EXPECT_EQ(s.log_hash, 0xf73694135fed0f81ULL) << log.str();
     EXPECT_EQ(s.stages, stages);
     EXPECT_EQ(s.tree_nodes, 39U);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
+#include "core/exec.hpp"
 #include "resilience/fault_plan.hpp"
 #include "workload/dataset.hpp"
 
@@ -17,26 +23,40 @@ core::AssemblyInput dataset(std::uint32_t contigs = 60) {
 
 TEST(Partition, CoversEveryContigOnce) {
   const auto in = dataset();
-  std::vector<std::uint32_t> rank_of;
-  const auto parts = partition_input(in, 4, &rank_of);
-  ASSERT_EQ(parts.size(), 4U);
-  ASSERT_EQ(rank_of.size(), in.contigs.size());
-  std::size_t total = 0;
-  for (const auto& p : parts) {
-    EXPECT_TRUE(p.validate());
-    EXPECT_EQ(p.kmer_len, in.kmer_len);
-    total += p.contigs.size();
+  const auto members = partition_contigs(in, 4);
+  ASSERT_EQ(members.size(), 4U);
+  std::vector<int> seen(in.contigs.size(), 0);
+  for (const auto& ids : members) {
+    EXPECT_FALSE(ids.empty());
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    for (std::uint32_t id : ids) {
+      ASSERT_LT(id, in.contigs.size());
+      ++seen[id];
+    }
   }
-  EXPECT_EQ(total, in.contigs.size());
+  for (std::size_t id = 0; id < seen.size(); ++id) {
+    EXPECT_EQ(seen[id], 1) << "contig " << id;
+  }
 }
 
 TEST(Partition, ReadsFollowTheirContigs) {
+  // A rank's sub-input holds its contigs' reads and nothing else.
   const auto in = dataset();
-  const auto parts = partition_input(in, 3);
   std::uint64_t reads = 0, insertions = 0;
-  for (const auto& p : parts) {
-    reads += p.num_mapped_reads();
-    insertions += p.total_insertions();
+  for (const auto& ids : partition_contigs(in, 3)) {
+    const core::AssemblyInput part = subset_input(in, ids);
+    EXPECT_TRUE(part.validate());
+    EXPECT_EQ(part.kmer_len, in.kmer_len);
+    ASSERT_EQ(part.contigs.size(), ids.size());
+    for (std::size_t local = 0; local < ids.size(); ++local) {
+      EXPECT_EQ(part.contigs[local].id, in.contigs[ids[local]].id);
+      EXPECT_EQ(part.left_reads[local].size(),
+                in.left_reads[ids[local]].size());
+      EXPECT_EQ(part.right_reads[local].size(),
+                in.right_reads[ids[local]].size());
+    }
+    reads += part.num_mapped_reads();
+    insertions += part.total_insertions();
   }
   EXPECT_EQ(reads, in.num_mapped_reads());
   EXPECT_EQ(insertions, in.total_insertions());
@@ -44,9 +64,14 @@ TEST(Partition, ReadsFollowTheirContigs) {
 
 TEST(Partition, LoadIsBalanced) {
   const auto in = dataset(120);
-  const auto parts = partition_input(in, 4);
   std::vector<std::uint64_t> loads;
-  for (const auto& p : parts) loads.push_back(p.num_mapped_reads());
+  for (const auto& ids : partition_contigs(in, 4)) {
+    std::uint64_t load = 0;
+    for (std::uint32_t id : ids) {
+      load += in.left_reads[id].size() + in.right_reads[id].size();
+    }
+    loads.push_back(load);
+  }
   const auto mx = *std::max_element(loads.begin(), loads.end());
   const auto mn = *std::min_element(loads.begin(), loads.end());
   EXPECT_LE(mx - mn, mx / 3 + 4);  // greedy LPT keeps ranks close
@@ -54,13 +79,14 @@ TEST(Partition, LoadIsBalanced) {
 
 TEST(Partition, MoreRanksThanContigsClamps) {
   const auto in = dataset(3);
-  const auto parts = partition_input(in, 16);
-  EXPECT_EQ(parts.size(), 3U);
+  const auto members = partition_contigs(in, 16);
+  ASSERT_EQ(members.size(), 3U);
+  for (const auto& ids : members) EXPECT_EQ(ids.size(), 1U);
 }
 
 TEST(Partition, ZeroRanksThrows) {
   const auto in = dataset(4);
-  EXPECT_THROW(partition_input(in, 0), std::invalid_argument);
+  EXPECT_THROW(partition_contigs(in, 0), std::invalid_argument);
 }
 
 // A homogeneous fleet of `n` copies of `dev` with no fault plan armed.
@@ -105,8 +131,18 @@ TEST(MultiGpu, ReportsAccountEveryContig) {
   const auto in = dataset(50);
   const auto r = run_fleet(in, simt::DeviceSpec::mi250x_gcd(), 3);
   std::uint64_t contigs = 0;
-  for (const auto& rep : r.ranks) contigs += rep.contigs;
+  std::uint64_t reads = 0;
+  for (const auto& rep : r.ranks) {
+    contigs += rep.contig_ids.size();
+    reads += rep.reads;
+  }
   EXPECT_EQ(contigs, in.contigs.size());
+  EXPECT_EQ(reads, in.num_mapped_reads());
+  // The reports expose the run's partition.
+  const auto members = partition_contigs(in, 3);
+  for (std::size_t rank = 0; rank < members.size(); ++rank) {
+    EXPECT_EQ(r.ranks[rank].contig_ids, members[rank]) << rank;
+  }
   EXPECT_NEAR(r.total_gpu_s,
               r.ranks[0].time_s + r.ranks[1].time_s + r.ranks[2].time_s,
               1e-12);
@@ -123,11 +159,11 @@ TEST(MultiGpuResilient, NullOrEmptyPlanMatchesBaseline) {
   const auto in = dataset();
   const core::AssemblyResult single =
       core::LocalAssembler(simt::DeviceSpec::a100()).run(in);
-  const auto unarmed = run_multi_gpu_resilient(in, "a100", 3, {}, nullptr);
+  const auto unarmed = run_multi_gpu_resilient(in, a100s(3), {}, nullptr);
   expect_same_extensions(unarmed.extensions, single.extensions);
   EXPECT_TRUE(unarmed.failures.clean());
   const resilience::FaultPlan empty(9);
-  const auto armed = run_multi_gpu_resilient(in, "a100", 3, {}, &empty);
+  const auto armed = run_multi_gpu_resilient(in, a100s(3), {}, &empty);
   expect_same_extensions(armed.extensions, single.extensions);
   EXPECT_TRUE(armed.failures.clean());
   EXPECT_EQ(armed.makespan_s, unarmed.makespan_s);
@@ -139,7 +175,7 @@ TEST(MultiGpuResilient, LostRankIsRebalancedBitIdentically) {
 
   resilience::FaultPlan plan(42);
   plan.add_device_loss(/*rank=*/1, /*after_batch=*/1);
-  const auto r = run_multi_gpu_resilient(in, "a100", 3, {}, &plan);
+  const auto r = run_multi_gpu_resilient(in, a100s(3), {}, &plan);
 
   // The loss is visible in the report...
   EXPECT_EQ(r.failures.devices_lost, 1U);
@@ -176,7 +212,7 @@ TEST(MultiGpuResilient, MultipleLossesRecoverOntoTheLastSurvivor) {
   resilience::FaultPlan plan(1);
   plan.add_device_loss(0, 1);
   plan.add_device_loss(2, 1);
-  const auto r = run_multi_gpu_resilient(in, "a100", 3, {}, &plan);
+  const auto r = run_multi_gpu_resilient(in, a100s(3), {}, &plan);
   EXPECT_EQ(r.failures.devices_lost, 2U);
   EXPECT_EQ(r.failures.rebalances.size(), 2U);
   for (std::size_t i = 0; i < base.extensions.size(); ++i) {
@@ -198,7 +234,7 @@ TEST(MultiGpuResilient, IdleDevicesCountAsSurvivors) {
   ASSERT_EQ(r.ranks.size(), 2U);
   EXPECT_TRUE(r.ranks[0].lost);
   EXPECT_FALSE(r.ranks[1].lost);
-  EXPECT_EQ(r.ranks[1].contigs, 0U);
+  EXPECT_TRUE(r.ranks[1].contig_ids.empty());
   EXPECT_EQ(r.failures.devices_lost, 1U);
   ASSERT_EQ(r.failures.rebalances.size(), 1U);
   EXPECT_EQ(r.failures.rebalances[0].lost_rank, 0U);
@@ -214,7 +250,7 @@ TEST(MultiGpuResilient, AllRanksLostThrowsDeviceLost) {
   plan.add_device_loss(0, 1);
   plan.add_device_loss(1, 1);
   try {
-    run_multi_gpu_resilient(in, "a100", 2, {}, &plan);
+    run_multi_gpu_resilient(in, a100s(2), {}, &plan);
     FAIL() << "every rank lost, but the run claimed success";
   } catch (const StatusError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kDeviceLost);
@@ -244,8 +280,8 @@ TEST(MultiGpuResilient, PerTaskFaultsFollowTheContigAcrossRecovery) {
   resilience::FaultPlan no_loss(77);
   no_loss.arm(resilience::Seam::kBadInput, 0.15);
 
-  const auto base = run_multi_gpu_resilient(in, "a100", 3, {}, &no_loss);
-  const auto r = run_multi_gpu_resilient(in, "a100", 3, {}, &plan);
+  const auto base = run_multi_gpu_resilient(in, a100s(3), {}, &no_loss);
+  const auto r = run_multi_gpu_resilient(in, a100s(3), {}, &plan);
   ASSERT_EQ(r.extensions.size(), base.extensions.size());
   for (std::size_t i = 0; i < base.extensions.size(); ++i) {
     EXPECT_EQ(r.extensions[i].left, base.extensions[i].left) << i;
@@ -255,30 +291,42 @@ TEST(MultiGpuResilient, PerTaskFaultsFollowTheContigAcrossRecovery) {
   EXPECT_GT(base.failures.tasks_quarantined, 0U) << "vacuous: nothing fired";
 }
 
-TEST(MultiGpuResilient, KeyOverloadMatchesExplicitDeviceList) {
-  const auto in = dataset(30);
-  const auto by_key = run_multi_gpu_resilient(in, "a100", 3, {}, nullptr);
-  const auto by_list = run_multi_gpu_resilient(in, a100s(3), {}, nullptr);
-  ASSERT_EQ(by_key.extensions.size(), by_list.extensions.size());
-  for (std::size_t i = 0; i < by_list.extensions.size(); ++i) {
-    EXPECT_EQ(by_key.extensions[i].left, by_list.extensions[i].left) << i;
-    EXPECT_EQ(by_key.extensions[i].right, by_list.extensions[i].right) << i;
-  }
-  EXPECT_EQ(by_key.makespan_s, by_list.makespan_s);
-  // Vendor aliases resolve through the same registry.
-  const auto by_alias = run_multi_gpu_resilient(in, "nvidia", 3, {}, nullptr);
-  EXPECT_EQ(by_alias.makespan_s, by_key.makespan_s);
-}
+TEST(MultiGpuResilient, SharedEngineMatchesPerRankPools) {
+  // Every rank and every recovery rerun on the caller's one pool gives
+  // the same round as each rank on a pool of its own, clean or faulted.
+  const auto in = dataset(60);
+  resilience::FaultPlan faulted(11);
+  faulted.add_device_loss(/*rank=*/1, /*after_batch=*/1);
+  faulted.arm(resilience::Seam::kBadInput, 0.15);
+  const resilience::FaultPlan* const plans[] = {nullptr, &faulted};
+  for (const resilience::FaultPlan* plan : plans) {
+    SCOPED_TRACE(plan == nullptr ? "clean" : "device_loss + bad_input");
+    core::AssemblyOptions opts;
+    opts.n_threads = 4;
+    opts.fault_plan = plan;
+    const core::LocalAssembler owner(simt::DeviceSpec::a100(), opts);
+    const std::unique_ptr<core::WarpExecutionEngine> engine =
+        owner.make_engine();
 
-TEST(MultiGpuResilient, UnknownDeviceKeyNamesTheRegistry) {
-  const auto in = dataset(5);
-  try {
-    run_multi_gpu_resilient(in, "not-a-gpu", 2, {}, nullptr);
-    FAIL() << "unknown device key accepted";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(std::string(e.what()).find("a100"), std::string::npos)
-        << "error message should list the registered slugs";
+    const auto own = run_multi_gpu_resilient(in, a100s(3), opts, plan);
+    const auto shared = run_multi_gpu_resilient(in, a100s(3), opts, plan,
+                                                nullptr, engine.get());
+    expect_same_extensions(shared.extensions, own.extensions);
+    ASSERT_EQ(shared.ranks.size(), own.ranks.size());
+    for (std::size_t r = 0; r < own.ranks.size(); ++r) {
+      EXPECT_EQ(shared.ranks[r].rank, own.ranks[r].rank);
+      EXPECT_EQ(shared.ranks[r].contig_ids, own.ranks[r].contig_ids);
+      EXPECT_EQ(shared.ranks[r].reads, own.ranks[r].reads);
+      EXPECT_EQ(shared.ranks[r].time_s, own.ranks[r].time_s);
+      EXPECT_EQ(shared.ranks[r].lost, own.ranks[r].lost);
+    }
+    EXPECT_EQ(shared.makespan_s, own.makespan_s);
+    EXPECT_EQ(shared.failures, own.failures);
+    if (plan != nullptr) {
+      EXPECT_EQ(own.failures.devices_lost, 1U) << "vacuous: no loss fired";
+      EXPECT_GT(own.failures.tasks_quarantined, 0U)
+          << "vacuous: no task fault fired";
+    }
   }
 }
 

@@ -326,56 +326,5 @@ TEST(JobState, NamesAreStable) {
   EXPECT_STREQ(job_state_name(JobState::kFailed), "failed");
 }
 
-TEST(Service, MultiRankDispatchIsBitIdenticalAndSharesTheCacheKey) {
-  const core::AssemblyInput in = small_dataset(40, 8);
-  ServiceConfig single;
-  AssemblyService s1(single);
-  const JobOutcome base = s1.submit("alice", in)->wait();
-  ASSERT_EQ(base.state, JobState::kCompleted);
-
-  ServiceConfig multi;
-  multi.ranks = 4;
-  AssemblyService s4(multi);
-  const JobOutcome out = s4.submit("alice", in)->wait();
-  ASSERT_EQ(out.state, JobState::kCompleted);
-  EXPECT_FALSE(out.stats.cache_hit);
-  expect_extensions_eq(out.extensions, base.extensions, "ranks=4");
-
-  // ranks is not part of the cache fingerprint: the multi-rank result
-  // was cached under the same key a single-rank service would use.
-  const JobOutcome warm = s4.submit("alice", in)->wait();
-  ASSERT_EQ(warm.state, JobState::kCompleted);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  expect_extensions_eq(warm.extensions, base.extensions, "warm hit");
-  s1.drain();
-  expect_accounted(s1);
-  s4.drain();
-  expect_accounted(s4);
-}
-
-TEST(Service, MultiRankDeviceLossRecoversBitIdentically) {
-  const core::AssemblyInput in = small_dataset(41, 9);
-  ServiceConfig cfg;
-  AssemblyService base_svc(cfg);
-  const JobOutcome base = base_svc.submit("alice", in)->wait();
-  ASSERT_EQ(base.state, JobState::kCompleted);
-
-  resilience::FaultPlan plan = parse_plan("seed=4 device_loss=1@1");
-  ServiceConfig lossy;
-  lossy.ranks = 3;
-  lossy.cache_capacity = 0;  // force a real multi-rank run
-  lossy.assembly.fault_plan = &plan;
-  AssemblyService svc(lossy);
-  const JobOutcome out = svc.submit("alice", in)->wait();
-  ASSERT_EQ(out.state, JobState::kCompleted);
-  expect_extensions_eq(out.extensions, base.extensions, "loss recovered");
-  EXPECT_GE(out.report.devices_lost, 1U);
-  ASSERT_FALSE(out.report.rebalances.empty());
-  EXPECT_EQ(out.report.rebalances.front().lost_rank, 1U);
-  EXPECT_GE(svc.counters().devices_lost, 1U);
-  svc.drain();
-  expect_accounted(svc);
-}
-
 }  // namespace
 }  // namespace lassm::serve
