@@ -22,7 +22,10 @@
 # accounted exactly once under 4x overload) and the distributed suite's
 # framing/recovery paths — the error paths exercised by injected faults
 # and corrupted inputs must be leak-, overflow- and UB-clean, not just
-# reach the right verdict.
+# reach the right verdict. It also runs the cache simulator's unit and
+# differential suites and the kernel's golden, kernel-vs-reference and
+# pooled-context suites, whose hot paths use packed SIMD tag loads, slabs
+# reshaped in place and memo pointers into those slabs.
 # Leg 3 (Release): two fresh tuner runs over the device zoo must agree
 # byte-for-byte, show tuned <= default everywhere and hold the recorded
 # speedup floors, and both artifacts must parse; then one short perfbench
@@ -199,7 +202,7 @@ cmake -B "$ASAN_BUILD" -S . \
 
 cmake --build "$ASAN_BUILD" -j \
   --target tests_bio tests_resilience tests_pipeline tests_workload \
-  tests_serve tests_dist
+  tests_serve tests_dist tests_memsim tests_core
 
 ASAN_OPTIONS="detect_leaks=1" \
   "$ASAN_BUILD/tests/tests_bio" --gtest_filter='FastaFuzz.*'
@@ -208,6 +211,18 @@ ASAN_OPTIONS="detect_leaks=1" \
   "$ASAN_BUILD/tests/tests_pipeline" \
   --gtest_filter='Checkpoint.*:MultiGpuResilient.*:ConcurrentKmerTable.*'
 ASAN_OPTIONS="detect_leaks=1" "$ASAN_BUILD/tests/tests_workload"
+
+# The cache simulator and the kernel on it under ASan+UBSan: the packed tag
+# scan loads whole 16-byte groups past a set's last way, reshaped slabs are
+# reused across geometries and the L1 memo holds pointers into the slab, so
+# an out-of-block load, a stale pointer or a misaligned access fails here
+# even where the differential oracles would still agree.
+ASAN_OPTIONS="detect_leaks=1" \
+  "$ASAN_BUILD/tests/tests_memsim" \
+  --gtest_filter='Cache*:Tiered*:*CacheDifferential*'
+ASAN_OPTIONS="detect_leaks=1" \
+  "$ASAN_BUILD/tests/tests_core" \
+  --gtest_filter='GoldenBitIdentity.*:*KernelVsReference*:ExecutionEngine.*:LocHt.*'
 
 # The distributed suite's framing/recovery paths under ASan+UBSan: the
 # [len][payload] message frames, the shard-adoption bookkeeping and the

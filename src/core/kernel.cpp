@@ -28,7 +28,7 @@ WarpKernelContext::WarpKernelContext(const simt::DeviceSpec& dev,
 
 void WarpKernelContext::reconfigure(std::uint64_t concurrency) {
   l2_cfg_ = dev_.l2_slice_config(concurrency);
-  mem_ = memsim::TieredMemory(l1_cfg_, l2_cfg_);
+  mem_.reshape(l1_cfg_, l2_cfg_);
 }
 
 void WarpKernelContext::validate_task(const WarpTask& task) const {

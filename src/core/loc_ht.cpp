@@ -72,21 +72,24 @@ std::uint32_t LocHashTable::estimate_slots(std::uint64_t insertions,
 
 void LocHashTable::reset(std::uint32_t slots, std::uint64_t sim_base) {
   assert(slots != 0 && (slots & (slots - 1)) == 0);
-  if (slots == entries_.size() && epoch_ != ~std::uint32_t{0}) {
-    // Same-size reuse (every ladder rung after the first): O(1) epoch bump;
-    // stale slots clear themselves on first touch in entry(). The epoch
-    // wrap (one in 2^32 resets) falls through to a full clear so an
-    // ancient surviving slot can never alias a recycled epoch value.
+  // Growth appends cleared entries; a smaller table reuses a prefix.
+  if (slots > entries_.size()) entries_.resize(slots);
+  if (epoch_ != ~std::uint32_t{0}) {
+    // O(1) epoch bump: stale slots clear themselves on first touch in
+    // entry(). The epoch wrap (one in 2^32 resets) falls through to a full
+    // clear so an ancient surviving slot can never alias a recycled epoch
+    // value.
     ++epoch_;
   } else {
-    entries_.assign(slots, HtEntry{});
+    std::fill(entries_.begin(), entries_.end(), HtEntry{});
     epoch_ = 0;
   }
+  slots_ = slots;
   sim_base_ = sim_base;
 }
 
 const HtEntry* LocHashTable::find(const bio::KmerView& key) const noexcept {
-  if (entries_.empty()) return nullptr;
+  if (slots_ == 0) return nullptr;
   const std::uint32_t n = slots();
   const std::uint32_t mask = n - 1;  // n is a power of two (see reset())
   std::uint32_t slot = key.hash(n);
@@ -104,7 +107,8 @@ const HtEntry* LocHashTable::find(const bio::KmerView& key) const noexcept {
 
 std::uint32_t LocHashTable::occupied() const noexcept {
   std::uint32_t n = 0;
-  for (const HtEntry& e : entries_) {
+  for (std::uint32_t i = 0; i < slots_; ++i) {
+    const HtEntry& e = entries_[i];
     n += (e.slot_epoch == epoch_ && !e.empty()) ? 1 : 0;
   }
   return n;

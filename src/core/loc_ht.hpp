@@ -98,17 +98,16 @@ class LocHashTable {
   /// `slots` must be a power of two (estimate_slots guarantees it; probing
   /// masks with `slots - 1`).
   ///
-  /// O(1) on the host when the size is unchanged (the per-rung case): the
-  /// table bumps its epoch and stale slots are cleared lazily on first
-  /// touch, instead of rewriting the whole slab. The *simulated* cost is
-  /// unaffected — the kernel separately bills the full streaming-store
-  /// slab wipe it models (WarpKernelContext::construct). A reset table is
-  /// observationally identical to a freshly assigned one.
+  /// O(1) on the host unless the table outgrows every earlier size (the
+  /// per-rung and most per-task cases): the table bumps its epoch and
+  /// stale slots are cleared lazily on first touch, instead of rewriting
+  /// the whole slab; a smaller table uses a prefix of the slab. The
+  /// *simulated* cost is unaffected — the kernel separately bills the full
+  /// streaming-store slab wipe it models (WarpKernelContext::construct). A
+  /// reset table is observationally identical to a freshly assigned one.
   void reset(std::uint32_t slots, std::uint64_t sim_base);
 
-  std::uint32_t slots() const noexcept {
-    return static_cast<std::uint32_t>(entries_.size());
-  }
+  std::uint32_t slots() const noexcept { return slots_; }
   std::uint64_t sim_base() const noexcept { return sim_base_; }
   std::uint64_t slot_addr(std::uint32_t slot) const noexcept {
     return sim_base_ + static_cast<std::uint64_t>(slot) * kEntryBytes;
@@ -143,7 +142,9 @@ class LocHashTable {
   std::uint32_t occupied() const noexcept;
 
  private:
+  /// Slab of at least slots_ entries; only the prefix is the table.
   std::vector<HtEntry> entries_;
+  std::uint32_t slots_ = 0;
   std::uint64_t sim_base_ = 0;
   std::uint32_t epoch_ = 0;  ///< current generation; slots lag until touched
 };

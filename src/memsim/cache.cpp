@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace lassm::memsim {
 
@@ -16,47 +11,26 @@ std::uint64_t floor_pow2(std::uint64_t x) noexcept {
   return x == 0 ? 0 : std::uint64_t{1} << (63 - std::countl_zero(x));
 }
 
-constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
-
-/// Full-set tag scan. At most one way can hold the tag, so any scan order
-/// gives the same answer; the SSE2 form packs the compare results into a
-/// bitmask and takes the (unique) set bit's index, which replaces the
-/// 16-step conditional-select chain of the portable loop with a handful of
-/// packed compares. Only valid for a full set: ways past the fill prefix
-/// hold stale tags that must not match.
-inline std::uint32_t scan_tags_full(const std::uint32_t* tags,
-                                    std::uint32_t ways,
-                                    std::uint32_t tag) noexcept {
-#if defined(__SSE2__)
-  if ((ways & 3) == 0) {
-    const __m128i needle = _mm_set1_epi32(static_cast<int>(tag));
-    std::uint32_t mask = 0;
-    for (std::uint32_t w = 0; w < ways; w += 4) {
-      const __m128i eq = _mm_cmpeq_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w)),
-          needle);
-      mask |= static_cast<std::uint32_t>(
-                  _mm_movemask_ps(_mm_castsi128_ps(eq)))
-              << w;
-    }
-    return mask ? static_cast<std::uint32_t>(std::countr_zero(mask))
-                : kNoWay;
-  }
-#endif
-  std::uint32_t hit = kNoWay;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (tags[w] == tag) hit = w;
-  }
-  return hit;
-}
 }  // namespace
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
+Cache::Cache(const CacheConfig& cfg) { configure(cfg); }
+
+void Cache::reshape(const CacheConfig& cfg) {
+  configure(cfg);
+  stats_ = {};
+}
+
+void Cache::configure(const CacheConfig& cfg) {
+  cfg_ = cfg;
+  epoch_ = 0;
+  dirty_ = 0;
   memo_clear();
   std::uint64_t lines = cfg.num_lines();
   if (lines == 0) {
     num_sets_ = 0;
     ways_ = 0;
+    meta_storage_.clear();
+    meta_ = nullptr;
     return;
   }
   // Associativity is capped at 16 so a set's full recency order packs into
@@ -76,94 +50,13 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   // Tail: state bytes, fill count, epoch byte.
   const std::uint32_t tail_u64 = (ways_ + 2 + 7) / 8;
   stride_u64_ = (state_off_u64_ + tail_u64 + 7) / 8 * 8;
+  // assign() keeps the allocation when it is large enough (reshape).
   meta_storage_.assign(static_cast<std::size_t>(num_sets_) * stride_u64_ + 8,
                        0);
   const auto raw = reinterpret_cast<std::uintptr_t>(meta_storage_.data());
   meta_ = reinterpret_cast<std::uint64_t*>((raw + 63) / 64 * 64);
   for (std::uint64_t s = 0; s < num_sets_; ++s)
     *block_perm(set_block(s)) = kIdentityPerm;
-}
-
-Cache::AccessResult Cache::access_slow(std::uint64_t line_addr,
-                                       bool is_write) noexcept {
-  AccessResult result;
-  if (num_sets_ == 0) {
-    ++stats_.misses;
-    return result;  // capacity 0: every access misses, nothing cached
-  }
-  // Tags are stored as 32 bits: simulated line addresses stay far below
-  // 2^32 (bump-allocated byte addresses divided by the line size).
-  assert(line_addr <= 0xFFFFFFFFull);
-  // Mix the line address before set selection so that power-of-two strides
-  // (hash-table entries are power-of-two sized) do not alias into one set.
-  std::uint64_t mixed = line_addr * 0x9e3779b97f4a7c15ULL;
-  mixed ^= mixed >> 29;
-  const std::uint64_t set = mixed & (num_sets_ - 1);
-  std::uint64_t* blk = set_block(set);
-  std::uint32_t* tags = block_tags(blk);
-  std::uint64_t* perm = block_perm(blk);
-  std::uint8_t* state = block_state(blk);
-  // A set from a previous invalidation epoch is logically empty.
-  const std::uint32_t fill =
-      block_epoch(blk) == epoch_ ? block_fill(blk) : 0;
-  const std::uint32_t tag32 = static_cast<std::uint32_t>(line_addr);
-
-  // Tag scan. A full set (the steady state after warm-up) takes the packed
-  // scan; a filling set falls back to a conditional-select loop over the
-  // valid prefix — validity needs no check because the prefix is valid by
-  // construction.
-  std::uint32_t hit_way;
-  if (fill == ways_) {
-    hit_way = scan_tags_full(tags, ways_, tag32);
-  } else {
-    hit_way = kNoWay;
-    for (std::uint32_t w = 0; w < fill; ++w) {
-      if (tags[w] == tag32) hit_way = w;
-    }
-  }
-  if (hit_way != kNoWay) {
-    *perm = recency_touch(*perm, hit_way);
-    state[hit_way] |= static_cast<std::uint8_t>(
-        is_write ? (kStateValid | kStateDirty) : kStateValid);
-    ++stats_.hits;
-    memo_store(line_addr, blk, hit_way);
-    result.hit = true;
-    return result;
-  }
-
-  ++stats_.misses;
-  // Choose victim: the next unfilled way while the set is filling (the
-  // lowest-index invalid way, as in the pre-SoA implementation), else the
-  // tail digit of the recency permutation — the true LRU way in O(1).
-  // Once a set is full every way has been touched at least once, so the
-  // recency order is a total order and the tail equals the least-recent
-  // timestamp argmin of the pre-SoA implementation exactly (timestamps
-  // were distinct, so its lowest-index tie-break never fired).
-  std::uint32_t victim;
-  if (fill < ways_) {
-    // Filling an invalid way can never evict: its state byte is zero in a
-    // freshly zeroed slab and garbage after an epoch-based invalidation,
-    // so it must not be consulted — the writeback check lives in the
-    // full-set branch only (identical outcome to the memset-based
-    // implementation, which always found state 0 here).
-    victim = fill;
-    block_fill(blk) = static_cast<std::uint8_t>(fill + 1);
-    block_epoch(blk) = epoch_;
-  } else {
-    victim = static_cast<std::uint32_t>(*perm >> ((ways_ - 1) * 4)) & 0xF;
-    if ((state[victim] & (kStateValid | kStateDirty)) ==
-        (kStateValid | kStateDirty)) {
-      ++stats_.writebacks;
-      result.writeback = true;
-      result.victim_line = tags[victim];
-    }
-  }
-  tags[victim] = tag32;
-  state[victim] = static_cast<std::uint8_t>(
-      is_write ? (kStateValid | kStateDirty) : kStateValid);
-  *perm = recency_touch(*perm, victim);
-  memo_store(line_addr, blk, victim);
-  return result;
 }
 
 void Cache::invalidate_all() noexcept {
@@ -173,6 +66,7 @@ void Cache::invalidate_all() noexcept {
   // still carries an epoch byte from 256 invalidations ago can never be
   // misread as current.
   ++epoch_;
+  dirty_ = 0;
   if (epoch_ == 0) {
     std::fill(meta_storage_.begin(), meta_storage_.end(), std::uint64_t{0});
     for (std::uint64_t s = 0; s < num_sets_; ++s)
@@ -186,23 +80,6 @@ std::uint64_t Cache::resident_lines() const noexcept {
   for (std::uint64_t s = 0; s < num_sets_; ++s) {
     auto* blk = const_cast<Cache*>(this)->set_block(s);
     if (block_epoch(blk) == epoch_) n += block_fill(blk);
-  }
-  return n;
-}
-
-std::uint64_t Cache::dirty_lines() const noexcept {
-  std::uint64_t n = 0;
-  for (std::uint64_t s = 0; s < num_sets_; ++s) {
-    auto* blk = const_cast<Cache*>(this)->set_block(s);
-    if (block_epoch(blk) != epoch_) continue;
-    const std::uint8_t* state = block_state(blk);
-    const std::uint32_t fill = block_fill(blk);
-    for (std::uint32_t w = 0; w < fill; ++w) {
-      n += (state[w] & (kStateValid | kStateDirty)) ==
-                   (kStateValid | kStateDirty)
-               ? 1
-               : 0;
-    }
   }
   return n;
 }

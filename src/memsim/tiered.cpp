@@ -6,21 +6,27 @@
 namespace lassm::memsim {
 
 TieredMemory::TieredMemory(const CacheConfig& l1, const CacheConfig& l2)
-    : l1_(l1), l2_(l2), line_bytes_(l1.line_bytes) {
+    : l1_(l1), l2_(l2) {
+  set_line_bytes(l1.line_bytes);
   stats_.line_bytes = line_bytes_;
+}
+
+void TieredMemory::set_line_bytes(std::uint32_t line_bytes) noexcept {
+  // The hierarchy transacts at L1-line granularity throughout; an L2 with a
+  // different nominal line size is modelled at the same granularity, which
+  // keeps byte accounting consistent across levels.
+  line_bytes_ = line_bytes;
   line_pow2_ = line_bytes_ != 0 && std::has_single_bit(line_bytes_);
   line_shift_ = line_pow2_
                     ? static_cast<std::uint32_t>(std::countr_zero(line_bytes_))
                     : 0;
-  // The hierarchy transacts at L1-line granularity throughout; an L2 with a
-  // different nominal line size is modelled at the same granularity, which
-  // keeps byte accounting consistent across levels.
 }
 
 template <bool UseL1Memo>
 ServiceLevel TieredMemory::span_access_impl(std::uint64_t first,
                                             std::uint64_t last, bool is_write,
                                             bool no_fetch) noexcept {
+  pristine_ = false;
   ServiceLevel deepest = ServiceLevel::kL1;
   for (std::uint64_t line = first; line <= last; ++line) {
     ++stats_.lines_touched;
@@ -31,33 +37,15 @@ ServiceLevel TieredMemory::span_access_impl(std::uint64_t first,
       ++stats_.l1_hits;
       continue;
     }
-    if (r1.writeback) {
-      // Dirty L1 victim drains into L2; if L2 misses, the writeback goes
-      // through to HBM immediately.
-      ++stats_.l1_evictions;
-      const Cache::AccessResult wb = l2_.access(r1.victim_line, /*is_write=*/true);
-      if (!wb.hit) {
-        stats_.hbm_write_bytes += line_bytes_;
-        ++stats_.l2_evictions;
-        if (wb.writeback) {
-          stats_.hbm_write_bytes += line_bytes_;
-          ++stats_.l2_evictions;
-        }
-      } else if (wb.writeback) {
-        stats_.hbm_write_bytes += line_bytes_;
-        ++stats_.l2_evictions;
-      }
-    }
-    const Cache::AccessResult r2 = l2_.access(line, is_write);
+    if (r1.writeback) drain_l1_victim(r1.victim_line);
+    // L2 skips the memo: nothing probes it there.
+    const Cache::AccessResult r2 = l2_.access_unmemoised(line, is_write);
     if (r2.hit) {
       ++stats_.l2_hits;
       deepest = std::max(deepest, ServiceLevel::kL2);
       continue;
     }
-    if (r2.writeback) {
-      stats_.hbm_write_bytes += line_bytes_;
-      ++stats_.l2_evictions;
-    }
+    if (r2.writeback) bill_l2_writeback();
     if (!no_fetch) {
       ++stats_.hbm_lines;
       stats_.hbm_read_bytes += line_bytes_;
@@ -78,11 +66,40 @@ ServiceLevel TieredMemory::span_access_cold(std::uint64_t first,
   return span_access_impl<false>(first, last, is_write, no_fetch);
 }
 
+void TieredMemory::drain_l1_victim(std::uint64_t victim_line) noexcept {
+  // Dirty L1 victim drains into L2; if L2 misses, the writeback goes
+  // through to HBM immediately.
+  ++stats_.l1_evictions;
+  const Cache::AccessResult wb =
+      l2_.access_unmemoised(victim_line, /*is_write=*/true);
+  if (!wb.hit) bill_l2_writeback();
+  if (wb.writeback) bill_l2_writeback();
+}
+
 ServiceLevel TieredMemory::stream_write_range(std::uint64_t addr,
                                               std::uint64_t bytes) noexcept {
   if (bytes == 0 || line_bytes_ == 0) return ServiceLevel::kL1;
   ServiceLevel deepest = ServiceLevel::kL1;
   const std::uint64_t chunks = (bytes + line_bytes_ - 1) / line_bytes_;
+  if (pristine_ && addr % line_bytes_ == 0) {
+    // Fresh-line wipe: with nothing resident at either level and every
+    // chunk exactly one line, chunk c stores line first + c, which no
+    // earlier chunk touched, so it misses both levels — each level's
+    // lookup is replaced by a known-absent insert. The L2 probe for a
+    // dirty L1 victim stays a full probe: the victim is an earlier wipe
+    // line that L2 may have evicted since.
+    pristine_ = false;
+    stats_.accesses += chunks;
+    stats_.lines_touched += chunks;
+    const std::uint64_t first = line_of(addr);
+    for (std::uint64_t line = first; line < first + chunks; ++line) {
+      const Cache::AccessResult r1 = l1_.insert_absent(line, /*is_write=*/true);
+      if (r1.writeback) drain_l1_victim(r1.victim_line);
+      if (l2_.insert_absent(line, /*is_write=*/true).writeback)
+        bill_l2_writeback();
+    }
+    return ServiceLevel::kHbm;  // a streaming store that missed L2
+  }
   std::uint64_t a = addr;
   for (std::uint64_t c = 0; c < chunks; ++c, a += line_bytes_) {
     // One logical access per line-sized chunk, like the loop this replaces.
@@ -104,6 +121,16 @@ void TieredMemory::reset() noexcept {
   l2_.reset_stats();
   stats_ = {};
   stats_.line_bytes = line_bytes_;
+  pristine_ = true;
+}
+
+void TieredMemory::reshape(const CacheConfig& l1, const CacheConfig& l2) {
+  l1_.reshape(l1);
+  l2_.reshape(l2);
+  set_line_bytes(l1.line_bytes);
+  stats_ = {};
+  stats_.line_bytes = line_bytes_;
+  pristine_ = true;
 }
 
 void TieredMemory::flush() noexcept {
@@ -118,6 +145,7 @@ void TieredMemory::flush() noexcept {
   stats_.l2_evictions += l2_dirty;
   l1_.invalidate_all();
   l2_.invalidate_all();
+  pristine_ = true;
 }
 
 }  // namespace lassm::memsim

@@ -155,6 +155,9 @@ class TieredMemory {
   /// wipe: one logical access per line-sized chunk, each chunk a full-line
   /// streaming store (the final chunk is a full line even when `bytes` is
   /// not line-aligned, matching that loop). `bytes == 0` performs nothing.
+  /// A line-aligned wipe of a pristine hierarchy (nothing resident since
+  /// construction, reset(), reshape() or flush()) — a task's first table
+  /// wipe — inserts its lines as known-absent, with no tag scan.
   ServiceLevel stream_write_range(std::uint64_t addr,
                                   std::uint64_t bytes) noexcept;
 
@@ -176,6 +179,11 @@ class TieredMemory {
   /// reallocating the set arrays per task; a reset hierarchy is
   /// indistinguishable from a freshly constructed one.
   void reset() noexcept;
+
+  /// Re-shapes both levels to new geometries, ending in the state a fresh
+  /// `TieredMemory(l1, l2)` starts in, while reusing the set slabs'
+  /// allocations (a pooled warp context moving to a new batch concurrency).
+  void reshape(const CacheConfig& l1, const CacheConfig& l2);
 
   const TrafficStats& stats() const noexcept { return stats_; }
   const Cache& l1() const noexcept { return l1_; }
@@ -202,12 +210,22 @@ class TieredMemory {
   template <bool UseL1Memo>
   ServiceLevel span_access_impl(std::uint64_t first, std::uint64_t last,
                                 bool is_write, bool no_fetch) noexcept;
+  /// A dirty L1 victim's write into L2, with its HBM billing.
+  void drain_l1_victim(std::uint64_t victim_line) noexcept;
+  void bill_l2_writeback() noexcept {
+    stats_.hbm_write_bytes += line_bytes_;
+    ++stats_.l2_evictions;
+  }
+  void set_line_bytes(std::uint32_t line_bytes) noexcept;
 
   Cache l1_;
   Cache l2_;
-  std::uint32_t line_bytes_;
+  std::uint32_t line_bytes_ = 0;
   std::uint32_t line_shift_ = 0;
   bool line_pow2_ = false;
+  /// Nothing resident at either level: set by construction, reset(),
+  /// reshape() and flush(), cleared by the first line any access touches.
+  bool pristine_ = true;
   TrafficStats stats_;
 };
 

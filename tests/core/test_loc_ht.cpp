@@ -62,6 +62,33 @@ TEST(LocHt, LazyResetIsObservationallyFresh) {
   }
 }
 
+TEST(LocHt, ResizingResetIsObservationallyFresh) {
+  // Tasks reset the table to a new size each time; shrinking reuses a
+  // prefix of the slab and growing appends to it, and either way every
+  // slot of the new table reads as freshly cleared.
+  const std::string buf(32, 'C');
+  LocHashTable t;
+  for (const std::uint32_t slots : {256u, 16u, 64u, 1024u, 16u, 256u}) {
+    t.reset(slots, 0x1000);
+    EXPECT_EQ(t.slots(), slots);
+    EXPECT_EQ(t.footprint_bytes(), std::uint64_t{slots} * kEntryBytes);
+    EXPECT_EQ(t.occupied(), 0U) << slots;
+    for (std::uint32_t s = 0; s < slots; ++s) {
+      ASSERT_TRUE(t.entry(s).empty()) << slots << " slot " << s;
+      ASSERT_EQ(t.entry(s).count, 0) << slots << " slot " << s;
+    }
+    const bio::KmerView key{buf.data(), 21, 100};
+    EXPECT_EQ(t.find(key), nullptr);
+    // Fill every slot; the next reset must forget all of them.
+    for (std::uint32_t s = 0; s < slots; ++s) {
+      t.entry(s).key_ptr = buf.data();
+      t.entry(s).key_len = 21;
+      t.entry(s).count = 3;
+    }
+    EXPECT_EQ(t.occupied(), slots);
+  }
+}
+
 TEST(LocHt, SlotAddressing) {
   LocHashTable t;
   t.reset(16, 0x4000);

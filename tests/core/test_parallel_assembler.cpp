@@ -14,9 +14,12 @@
 
 #include "core/assembler.hpp"
 #include "core/exec.hpp"
+#include "core/kernel.hpp"
+#include "core/ladder.hpp"
 #include "core/reference.hpp"
 #include "resilience/fault_plan.hpp"
 #include "trace/trace.hpp"
+#include "memsim/tiered.hpp"
 #include "workload/dataset.hpp"
 
 namespace lassm::core {
@@ -361,14 +364,148 @@ TEST(ExecutionEngine, IsolatedBatchQuarantinesOnlyTheFailingTask) {
 }
 
 TEST(ExecutionEngine, PooledContextReuseMatchesFreshContexts) {
-  // One context running two different tasks back-to-back must equal two
-  // fresh contexts running one task each (the reset contract), including
-  // after a reconfigure to a different batch concurrency.
-  const AssemblyInput in = dataset(21, 2, 13);
+  // The serial oracle runs every task of a launch through one context, one
+  // after another; a 2-thread engine splits the tasks over two pooled
+  // contexts, each reused across its share of the launch and across both
+  // sides' launches (whose concurrencies differ, so they reconfigure).
+  // Both must give the same results (the reset contract). The direct
+  // one-context-vs-fresh-context checks are the tests below.
+  const AssemblyInput in = dataset(21, 12, 13);
   const AssemblyResult once = run_with_threads(in, 1);
-  // Same input through a 2-thread engine where each task lands on its own
-  // worker (fresh contexts), vs the serial one-context run above.
   expect_identical(once, run_with_threads(in, 2));
+}
+
+/// One launch's right-side tasks over `in`, laid out like the assembler's
+/// batches: each task has its own line-aligned table and walk buffer.
+std::vector<WarpTask> right_side_tasks(const AssemblyInput& in,
+                                       const AssemblyOptions& opts) {
+  memsim::AddressSpace as;
+  const std::uint64_t reads_base = as.allocate(in.reads.total_bases());
+  const std::uint64_t quals_base = as.allocate(in.reads.total_bases());
+  const std::uint32_t floor_mer = ladder_min_mer(in.kmer_len, opts);
+  std::vector<WarpTask> tasks;
+  for (std::size_t id = 0; id < in.contigs.size(); ++id) {
+    if (in.right_reads[id].empty()) continue;
+    std::uint64_t ins = 0;
+    for (std::uint32_t rid : in.right_reads[id])
+      ins += bio::kmer_count(in.reads[rid].len, floor_mer);
+    WarpTask t;
+    t.contig = in.contigs[id].seq;
+    t.contig_sim_addr = as.allocate(in.contigs[id].length());
+    t.reads = &in.reads;
+    t.read_ids = in.right_reads[id];
+    t.reads_sim_base = reads_base;
+    t.quals_sim_base = quals_base;
+    const std::uint64_t slots =
+        LocHashTable::estimate_slots(ins, opts.table_load_factor);
+    t.table_sim_base = as.allocate(slots * kEntryBytes, 128);
+    t.walkbuf_sim_addr = as.allocate(in.kmer_len + opts.max_walk_len + 64);
+    t.kmer_len = in.kmer_len;
+    t.fault_key = resilience::contig_fault_key(in.contigs[id].id, true);
+    tasks.push_back(t);
+  }
+  return tasks;
+}
+
+/// Every modelled field of two warp results, named on mismatch.
+void expect_same_warp_result(const WarpResult& a, const WarpResult& b) {
+  EXPECT_EQ(a.extension, b.extension);
+  EXPECT_EQ(a.accepted_mer, b.accepted_mer);
+  EXPECT_EQ(a.final_state, b.final_state);
+  EXPECT_EQ(a.mem_faults, b.mem_faults);
+  EXPECT_EQ(a.walk_aborts, b.walk_aborts);
+  const simt::WarpCounters& c = a.counters;
+  const simt::WarpCounters& d = b.counters;
+  EXPECT_EQ(c.cycles, d.cycles);
+  EXPECT_EQ(c.intops, d.intops);
+  EXPECT_EQ(c.issue_slots, d.issue_slots);
+  EXPECT_EQ(c.instructions, d.instructions);
+  EXPECT_EQ(c.probes, d.probes);
+  EXPECT_EQ(c.insertions, d.insertions);
+  EXPECT_EQ(c.walk_steps, d.walk_steps);
+  EXPECT_EQ(c.atomics, d.atomics);
+  EXPECT_EQ(c.mer_retries, d.mer_retries);
+  EXPECT_EQ(c.mem_rounds, d.mem_rounds);
+  const memsim::TrafficStats& s = a.traffic;
+  const memsim::TrafficStats& t = b.traffic;
+  EXPECT_EQ(s.accesses, t.accesses);
+  EXPECT_EQ(s.lines_touched, t.lines_touched);
+  EXPECT_EQ(s.line_bytes, t.line_bytes);
+  EXPECT_EQ(s.l1_hits, t.l1_hits);
+  EXPECT_EQ(s.l2_hits, t.l2_hits);
+  EXPECT_EQ(s.l1_evictions, t.l1_evictions);
+  EXPECT_EQ(s.l2_evictions, t.l2_evictions);
+  EXPECT_EQ(s.hbm_lines, t.hbm_lines);
+  EXPECT_EQ(s.hbm_read_bytes, t.hbm_read_bytes);
+  EXPECT_EQ(s.hbm_write_bytes, t.hbm_write_bytes);
+}
+
+TEST(ExecutionEngine, OneContextAcrossReconfiguresMatchesFreshContexts) {
+  // One context runs the task sequence twice while its batch concurrency
+  // goes large -> small -> large (small -> large -> small slices, so the
+  // reshaped slabs shrink, grow past their first size and shrink again);
+  // every task must match a context built fresh for its concurrency.
+  const AssemblyInput in = dataset(33, 10, 21);
+  for (const simt::DeviceSpec& dev : simt::DeviceSpec::study_devices()) {
+    SCOPED_TRACE(dev.slug);
+    const AssemblyOptions opts;
+    const std::vector<WarpTask> tasks = right_side_tasks(in, opts);
+    ASSERT_GE(tasks.size(), 4U);
+    const std::uint64_t concurrencies[] = {1500, 1, 1500, 28};
+    WarpKernelContext reused(dev, dev.native_model, opts, concurrencies[0]);
+    std::size_t step = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < tasks.size(); ++i, ++step) {
+        // A new concurrency every third task; tasks in between reuse the
+        // context unchanged.
+        const std::uint64_t conc = concurrencies[(step / 3) % 4];
+        if (step % 3 == 0) reused.reconfigure(conc);
+        SCOPED_TRACE("task " + std::to_string(i) + " concurrency " +
+                     std::to_string(conc));
+        WarpKernelContext fresh(dev, dev.native_model, opts, conc);
+        expect_same_warp_result(reused.run(tasks[i]), fresh.run(tasks[i]));
+      }
+    }
+  }
+}
+
+TEST(ExecutionEngine, OneContextUnderMemStallsMatchesFreshContexts) {
+  // Under an armed mem-stall plan, fault_interrupt() empties the hierarchy
+  // between rungs, so a later rung's table wipe also starts from an empty
+  // hierarchy (the fresh-line wipe). One context running the tasks back to
+  // back must match fresh contexts, and the scenario must really occur.
+  const AssemblyInput in = dataset(33, 16, 5);
+  resilience::FaultPlan plan(99);
+  plan.arm(resilience::Seam::kMemStall, 0.5);
+  AssemblyOptions opts;
+  opts.fault_plan = &plan;
+  bool later_rung_stalled = false;
+  for (const simt::DeviceSpec& dev : simt::DeviceSpec::study_devices()) {
+    SCOPED_TRACE(dev.slug);
+    const std::vector<WarpTask> tasks = right_side_tasks(in, opts);
+    WarpKernelContext reused(dev, dev.native_model, opts, 64);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        SCOPED_TRACE("task " + std::to_string(i));
+        const WarpResult got = reused.run(tasks[i]);
+        WarpKernelContext fresh(dev, dev.native_model, opts, 64);
+        expect_same_warp_result(got, fresh.run(tasks[i]));
+        // Rungs this task ran, in ladder order; did any after the first
+        // stall?
+        std::uint64_t rung = 0;
+        for (std::uint32_t mer : mer_ladder(tasks[i].kmer_len, opts)) {
+          if (mer > tasks[i].contig.size() || mer >= bio::kMaxK) continue;
+          if (rung > got.counters.mer_retries) break;
+          if (rung > 0 &&
+              plan.fires(resilience::Seam::kMemStall,
+                         (tasks[i].fault_key << 8) ^ mer, 0))
+            later_rung_stalled = true;
+          ++rung;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(later_rung_stalled);
 }
 
 }  // namespace

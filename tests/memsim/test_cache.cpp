@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+
 namespace lassm::memsim {
 namespace {
 
@@ -120,6 +123,39 @@ TEST(Cache, ThrashingWorkingSetMostlyMisses) {
     for (std::uint64_t l = 0; l < 4096; ++l) c.access(l, false);
   }
   EXPECT_LT(c.stats().hit_rate(), 0.01);
+}
+
+TEST(Cache, ReshapeIsIndistinguishableFromConstruction) {
+  // A slab reused across geometries (smaller, larger, same stride, other
+  // associativity) must behave exactly like a freshly built cache: the
+  // earlier geometry's tags, recency words and epoch stamps are garbage to
+  // the new one. The first geometry is filled without any invalidation, so
+  // its sets carry the same epoch stamp a fresh slab starts with.
+  const CacheConfig shapes[] = {cfg(64 * 1024, 64, 16), cfg(8 * 1024, 64, 16),
+                                cfg(128 * 1024, 32, 8), cfg(5 * 128, 128, 16),
+                                cfg(64 * 1024, 64, 16), cfg(0, 64, 8),
+                                cfg(2 * 1024, 32, 2)};
+  std::mt19937_64 rng(77);
+  Cache reused(shapes[0]);
+  for (const CacheConfig& shape : shapes) {
+    reused.reshape(shape);
+    Cache fresh(shape);
+    EXPECT_EQ(reused.stats().accesses(), 0U);
+    EXPECT_EQ(reused.resident_lines(), 0U);
+    EXPECT_EQ(reused.dirty_lines(), 0U);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t line = rng() % 4096;
+      const bool is_write = rng() % 3 == 0;
+      const auto got = reused.access(line, is_write);
+      const auto want = fresh.access(line, is_write);
+      ASSERT_EQ(got.hit, want.hit) << shape.size_bytes << " access " << i;
+      ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+      ASSERT_EQ(got.victim_line, want.victim_line) << "access " << i;
+    }
+    EXPECT_EQ(reused.resident_lines(), fresh.resident_lines());
+    EXPECT_EQ(reused.dirty_lines(), fresh.dirty_lines());
+    EXPECT_EQ(reused.stats().writebacks, fresh.stats().writebacks);
+  }
 }
 
 }  // namespace
