@@ -14,7 +14,6 @@
 // LASSM_STUDY_SEED (shared with bench_paper).
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -23,8 +22,8 @@
 
 #include "model/ascii_plot.hpp"
 #include "model/csv.hpp"
+#include "model/study.hpp"
 #include "model/tuner.hpp"
-#include "workload/dataset.hpp"
 
 namespace {
 
@@ -51,19 +50,6 @@ double tune_scale_from_env() {
   return 0.02;
 }
 
-/// Probe dataset: the k=33 Table II workload scaled the same way
-/// run_study scales the grid datasets (with the same size floors).
-core::AssemblyInput probe_dataset(std::uint32_t k, double scale,
-                                  std::uint64_t seed) {
-  workload::DatasetParams p = workload::table2_params(k);
-  p.num_contigs = std::max<std::uint32_t>(
-      50,
-      static_cast<std::uint32_t>(std::llround(p.num_contigs * scale)));
-  p.num_reads = std::max<std::uint32_t>(
-      100, static_cast<std::uint32_t>(std::llround(p.num_reads * scale)));
-  return workload::generate_dataset(p, seed);
-}
-
 std::string json_escape_ms(double seconds) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", seconds * 1e3);
@@ -85,7 +71,7 @@ int main() {
             << "================================================================\n";
 
   const core::AssemblyInput probe =
-      probe_dataset(kProbeK, tune_scale, cfg.seed);
+      model::study_dataset(kProbeK, tune_scale, cfg.seed);
   std::cout << "probe dataset: " << probe.contigs.size() << " contigs, "
             << probe.reads.size() << " reads, "
             << probe.total_insertions() << " insertions\n\n";
@@ -154,7 +140,8 @@ int main() {
   };
   std::vector<GridCell> grid;
   for (std::uint32_t k : cfg.ks) {
-    const core::AssemblyInput in = probe_dataset(k, tune_scale, cfg.seed);
+    const core::AssemblyInput in =
+        model::study_dataset(k, tune_scale, cfg.seed);
     for (const auto& dev : simt::DeviceSpec::study_devices()) {
       const model::DeviceTuneReport* rep = nullptr;
       for (const auto& r : reports) {

@@ -30,12 +30,7 @@ int main() {
                        {"k", "cpu_ms", "gpu_ms", "speedup"});
 
   for (std::uint32_t k : workload::kTable2Ks) {
-    workload::DatasetParams p = workload::table2_params(k);
-    p.num_contigs = std::max<std::uint32_t>(
-        50, static_cast<std::uint32_t>(p.num_contigs * cfg.scale));
-    p.num_reads = std::max<std::uint32_t>(
-        100, static_cast<std::uint32_t>(p.num_reads * cfg.scale));
-    const auto in = workload::generate_dataset(p, cfg.seed);
+    const auto in = model::study_dataset(k, cfg.scale, cfg.seed);
 
     trace::Tracer tracer;
     {

@@ -13,6 +13,7 @@
 
 #include "core/assembler.hpp"
 #include "model/ascii_plot.hpp"
+#include "model/study.hpp"
 #include "workload/dataset.hpp"
 
 namespace {
@@ -35,12 +36,7 @@ int main(int argc, char** argv) {
     if (argc < 5) return usage();
     const auto k = static_cast<std::uint32_t>(std::atoi(argv[2]));
     const double scale = std::atof(argv[3]);
-    workload::DatasetParams p = workload::table2_params(k);
-    p.num_contigs = std::max<std::uint32_t>(
-        10, static_cast<std::uint32_t>(p.num_contigs * scale));
-    p.num_reads = std::max<std::uint32_t>(
-        20, static_cast<std::uint32_t>(p.num_reads * scale));
-    const auto in = workload::generate_dataset(p, 20240731);
+    const auto in = model::study_dataset(k, scale, 20240731);
     std::ofstream out(argv[4]);
     workload::save_dataset(out, in);
     std::cout << "wrote " << argv[4] << ": " << in.contigs.size()

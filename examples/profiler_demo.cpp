@@ -10,8 +10,8 @@
 
 #include "core/assembler.hpp"
 #include "model/profiler.hpp"
+#include "model/study.hpp"
 #include "trace/metrics.hpp"
-#include "workload/dataset.hpp"
 
 int main(int argc, char** argv) {
   using namespace lassm;
@@ -19,12 +19,7 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 33;
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
 
-  workload::DatasetParams p = workload::table2_params(k);
-  p.num_contigs = std::max<std::uint32_t>(
-      50, static_cast<std::uint32_t>(p.num_contigs * scale));
-  p.num_reads = std::max<std::uint32_t>(
-      100, static_cast<std::uint32_t>(p.num_reads * scale));
-  const core::AssemblyInput input = workload::generate_dataset(p, 7);
+  const core::AssemblyInput input = model::study_dataset(k, scale, 7);
 
   std::cout << "profiling the local assembly kernel: k=" << k << ", "
             << input.contigs.size() << " contigs, " << input.reads.size()

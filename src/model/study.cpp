@@ -33,6 +33,16 @@ StudyConfig study_config_from_env() {
   return cfg;
 }
 
+core::AssemblyInput study_dataset(std::uint32_t k, double scale,
+                                  std::uint64_t seed) {
+  workload::DatasetParams p = workload::table2_params(k);
+  p.num_contigs = std::max<std::uint32_t>(
+      50, static_cast<std::uint32_t>(std::llround(p.num_contigs * scale)));
+  p.num_reads = std::max<std::uint32_t>(
+      100, static_cast<std::uint32_t>(std::llround(p.num_reads * scale)));
+  return workload::generate_dataset(p, seed);
+}
+
 StudyCell run_cell(const simt::DeviceSpec& dev, simt::ProgrammingModel pm,
                    const core::AssemblyInput& input,
                    const core::AssemblyOptions& opts) {
@@ -71,17 +81,10 @@ StudyResults run_study(const StudyConfig& config, std::ostream* progress) {
 
   // Datasets are shared across devices (the paper profiles the same four
   // inputs everywhere), so generate each k once.
-  std::vector<core::AssemblyInput> datasets;
+  std::vector<core::AssemblyInput>& datasets = results.datasets;
   datasets.reserve(config.ks.size());
   for (std::uint32_t k : config.ks) {
-    workload::DatasetParams p = workload::table2_params(k);
-    p.num_contigs = std::max<std::uint32_t>(
-        50, static_cast<std::uint32_t>(
-                std::llround(p.num_contigs * config.scale)));
-    p.num_reads = std::max<std::uint32_t>(
-        100, static_cast<std::uint32_t>(
-                 std::llround(p.num_reads * config.scale)));
-    datasets.push_back(workload::generate_dataset(p, config.seed));
+    datasets.push_back(study_dataset(k, config.scale, config.seed));
     if (progress != nullptr) {
       *progress << "generated dataset k=" << k << ": "
                 << datasets.back().contigs.size() << " contigs, "

@@ -24,9 +24,6 @@ struct StudyConfig {
   std::uint64_t seed = 20240731;
   std::vector<std::uint32_t> ks{21, 33, 55, 77};
   core::AssemblyOptions opts;
-  /// When true (default) each device runs its native programming model
-  /// (CUDA / HIP / SYCL), as the study did.
-  bool native_models = true;
   /// When non-empty, run_study traces every run into one tracer and writes
   /// the Chrome trace JSON here (set from LASSM_TRACE by
   /// study_config_from_env). Tracing never changes modelled numbers.
@@ -38,6 +35,13 @@ struct StudyConfig {
 /// host threads driving the simulated warps; results are bit-identical for
 /// every value. LASSM_TRACE names a Chrome trace JSON output path).
 StudyConfig study_config_from_env();
+
+/// The Table II dataset for `k` at `scale` of its full size (contig and
+/// read counts rounded to nearest, at least 50 contigs and 100 reads),
+/// generated from `seed`. The one dataset rule of every modelled result:
+/// run_study's grid, the ablations and the baselines all read it.
+core::AssemblyInput study_dataset(std::uint32_t k, double scale,
+                                  std::uint64_t seed);
 
 /// One (device, k) measurement with every derived metric.
 struct StudyCell {
@@ -65,6 +69,9 @@ struct StudyCell {
 
 struct StudyResults {
   StudyConfig config;
+  /// study_dataset(config.ks[i], config.scale, config.seed), indexed like
+  /// config.ks: the inputs every device ran.
+  std::vector<core::AssemblyInput> datasets;
   std::vector<simt::DeviceSpec> devices;  ///< paper order: NVIDIA, AMD, Intel
   std::vector<StudyCell> cells;           ///< device-major, then k
 

@@ -86,6 +86,47 @@ TEST(Study, ConfigFromEnv) {
   ::unsetenv("LASSM_STUDY_SEED");
 }
 
+/// Text form of a dataset (workload::save_dataset): equal strings mean the
+/// same contigs, reads, read-to-contig mapping and k.
+std::string dataset_text(const core::AssemblyInput& in) {
+  std::ostringstream os;
+  workload::save_dataset(os, in);
+  return os.str();
+}
+
+TEST(StudyDataset, TableIICountsAtDefaultScale) {
+  const StudyConfig cfg;
+  struct Row {
+    std::uint32_t k, contigs, reads;
+  };
+  for (const Row& row : {Row{21, 2839, 14832}, Row{33, 879, 4084},
+                         Row{55, 664, 2632}, Row{77, 509, 1568}}) {
+    const core::AssemblyInput in = study_dataset(row.k, cfg.scale, cfg.seed);
+    EXPECT_EQ(in.kmer_len, row.k);
+    EXPECT_EQ(in.contigs.size(), row.contigs) << "k=" << row.k;
+    EXPECT_EQ(in.reads.size(), row.reads) << "k=" << row.k;
+  }
+}
+
+TEST(StudyDataset, FloorsHoldAtTinyScale) {
+  for (std::uint32_t k : workload::kTable2Ks) {
+    const core::AssemblyInput in = study_dataset(k, 1e-4, 7);
+    EXPECT_EQ(in.contigs.size(), 50U) << "k=" << k;
+    EXPECT_EQ(in.reads.size(), 100U) << "k=" << k;
+  }
+}
+
+TEST(StudyDataset, RunStudyKeepsTheDatasetsItRan) {
+  const StudyConfig cfg = tiny_config();
+  const StudyResults r = run_study(cfg);
+  ASSERT_EQ(r.datasets.size(), cfg.ks.size());
+  for (std::size_t i = 0; i < cfg.ks.size(); ++i) {
+    EXPECT_EQ(dataset_text(r.datasets[i]),
+              dataset_text(study_dataset(cfg.ks[i], cfg.scale, cfg.seed)))
+        << "k=" << cfg.ks[i];
+  }
+}
+
 TEST(StudyCellTest, SingleCellAblationEntryPoint) {
   workload::DatasetParams p = workload::table2_params(21);
   p.num_contigs = 50;
