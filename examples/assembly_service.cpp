@@ -10,8 +10,9 @@
 // the open loop (everything at once — the overload mode that exercises
 // queue shedding). Fault injection arms the whole serving stack:
 //
-//   LASSM_FAULTPLAN="seed=11 task_exception=0.1 queue_overflow=0.05 \
-//       job_timeout=0.05 cache_corrupt=0.3" ./assembly_service 4 50 --open
+//   plan="seed=11 task_exception=0.1 queue_overflow=0.05"
+//   plan="$plan job_timeout=0.05 cache_corrupt=0.3"
+//   LASSM_FAULTPLAN="$plan" ./assembly_service 4 50 --open
 //
 // Every job ends in exactly one of {completed, shed, failed} with a typed
 // status; the run prints the SLO report and the accounting invariant.

@@ -32,8 +32,10 @@
 # run per BENCHMARK.json workload must reproduce its recorded output
 # digest (perfbench/golden.txt) with no failed operation, and a
 # reads_4rank run at unrecorded seed 2 must match its own 1-thread pass.
-# Any race, sanitizer report, test failure, malformed JSON, autotune
-# mismatch or golden-digest change fails the script. Host wall-clock
+# Every leg configures with -DLASSM_WERROR=ON, so a compiler warning in
+# any target it builds fails the build. Any race, sanitizer report, test
+# failure, malformed JSON, autotune mismatch or golden-digest change fails
+# the script. Host wall-clock
 # performance is measured by perfbench/ (python3 perfbench/run.py), not
 # here. Usage:
 #
@@ -45,6 +47,7 @@ BUILD="${1:-build-tsan}"
 
 cmake -B "$BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DLASSM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-Wall -Wextra -fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DLASSM_BUILD_BENCH=OFF \
@@ -195,6 +198,7 @@ echo "check.sh: TSan run clean."
 ASAN_BUILD="${BUILD}-asan"
 cmake -B "$ASAN_BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DLASSM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-Wall -Wextra -fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   -DLASSM_BUILD_BENCH=OFF \
@@ -253,6 +257,7 @@ echo "check.sh: ASan+UBSan run clean."
 RELEASE_BUILD="${BUILD}-release"
 cmake -B "$RELEASE_BUILD" -S . \
   -DCMAKE_BUILD_TYPE=Release \
+  -DLASSM_WERROR=ON \
   -DLASSM_BUILD_BENCH=ON \
   -DLASSM_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "$RELEASE_BUILD" -j --target bench_autotune > /dev/null

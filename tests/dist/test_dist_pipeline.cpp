@@ -457,11 +457,11 @@ TEST(DistPipeline, ReferencePathMatchesOracleToo) {
   }
 }
 
-// Weak scaling (the workload of bench_distributed): the genome, and with it
-// the k-mer load, grows with the fleet. At every fleet size the two-level
-// hash partition must keep the per-rank k-mer spread within 10% of the
-// mean, and the measured remote-insert traffic must stay within 5% of the
-// analytic (R-1)/R model.
+// Weak scaling (the workload of bench_paper's distributed section): the
+// genome, and with it the k-mer load, grows with the fleet. At every fleet
+// size the two-level hash partition must keep the per-rank k-mer spread
+// within 10% of the mean, and the measured remote-insert traffic must stay
+// within 5% of the analytic (R-1)/R model.
 TEST(DistPipeline, WeakScalingKeepsPartitionAndTrafficBars) {
   const auto device = simt::DeviceSpec::a100();
   for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {

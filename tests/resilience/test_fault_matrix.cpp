@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -82,10 +83,16 @@ TEST(FaultMatrix, EmptyArmedPlanIsBitIdenticalToNoPlan) {
 
 // Each rate-based seam, serial and 4-thread: same seed => same faults,
 // same numbers, thread count invisible.
+/// ctest names each case after this struct's bytes, so the seven bytes
+/// after `seam` are a zeroed member rather than padding, whose value is
+/// indeterminate and would make the test IDs differ between builds.
 struct SeamCase {
+  SeamCase(Seam s, double r) : seam(s), rate(r) {}
   Seam seam;
+  std::uint8_t zeros[7] = {};
   double rate;
 };
+static_assert(sizeof(SeamCase) == 16, "SeamCase must have no padding");
 
 class FaultMatrixSeams : public ::testing::TestWithParam<SeamCase> {};
 

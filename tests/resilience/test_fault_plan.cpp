@@ -271,7 +271,9 @@ TEST(FaultPlanFuzz, FullSpecArmsEverySeam) {
   ASSERT_TRUE(r.is_ok()) << full_spec();
   for (std::size_t i = 0; i < kSeamCount; ++i) {
     const Seam seam = static_cast<Seam>(i);
-    if (seam != Seam::kDeviceLoss) EXPECT_GT(r.value().rate(seam), 0.0);
+    if (seam != Seam::kDeviceLoss) {
+      EXPECT_GT(r.value().rate(seam), 0.0);
+    }
   }
   EXPECT_EQ(r.value().device_losses().size(), 2U);
 }

@@ -28,14 +28,14 @@ TEST(FailureReport, AnyFieldMakesItDirty) {
 TEST(FailureReport, MergeAccumulates) {
   FailureReport a, b;
   a.tasks_retried = 2;
-  a.faults.push_back(TaskFault{.fault_key = 1});
+  a.faults.emplace_back().fault_key = 1;
   b.tasks_retried = 3;
   b.tasks_quarantined = 1;
   b.mem_faults = 4;
   b.devices_lost = 1;
   b.serial_fallback = true;
-  b.faults.push_back(TaskFault{.fault_key = 2});
-  b.rebalances.push_back(RebalanceEvent{.lost_rank = 1});
+  b.faults.emplace_back().fault_key = 2;
+  b.rebalances.emplace_back().lost_rank = 1;
   a.merge(b);
   EXPECT_EQ(a.tasks_retried, 5U);
   EXPECT_EQ(a.tasks_quarantined, 1U);

@@ -11,6 +11,7 @@
 //      seam, the work-item identity, and the ring-only debug events that
 //      led up to the incident.
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -115,10 +116,16 @@ class TracedFaultsTest : public ::testing::Test {
   std::filesystem::path flight_dir_;
 };
 
+/// ctest names each case after this struct's bytes, so the seven bytes
+/// after `seam` are a zeroed member rather than padding, whose value is
+/// indeterminate and would make the test IDs differ between builds.
 struct SeamCase {
+  SeamCase(Seam s, double r) : seam(s), rate(r) {}
   Seam seam;
+  std::uint8_t zeros[7] = {};
   double rate;
 };
+static_assert(sizeof(SeamCase) == 16, "SeamCase must have no padding");
 
 class TracedFaultSeams : public TracedFaultsTest,
                          public ::testing::WithParamInterface<SeamCase> {};
