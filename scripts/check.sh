@@ -2,6 +2,8 @@
 # Sanitizer and determinism gate for the parallel execution engine, the
 # tracing layer, the fault-injection/resilience paths and the autotuner.
 #
+# Step 0 (no build): fails, naming the header, when a src/ header has no
+# includer under src/, bench/, examples/ or perfbench/ besides its own .cpp.
 # Leg 1 (TSan): configures a build tree with warnings + ThreadSanitizer,
 # runs the engine's determinism/parallelism tests, the memsim
 # differential/golden bit-identity suites, the distributed suite (its
@@ -45,6 +47,24 @@ cd "$(dirname "$0")/.."
 
 BUILD="${1:-build-tsan}"
 
+# --- Step 0: no orphan modules. -----------------------------------------
+# A src/ header that nothing outside its own .cpp includes is code no
+# entry point can reach: only tests would keep it alive. Every header must
+# be included from src/, bench/, examples/ or perfbench/ by some file other
+# than its own .cpp.
+ORPHANS=0
+while IFS= read -r HDR; do
+  REL="${HDR#src/}"
+  if ! grep -rlF --include='*.hpp' --include='*.cpp' "#include \"$REL\"" \
+      src bench examples perfbench | grep -qvxF "${HDR%.hpp}.cpp"; then
+    echo "check.sh: FAIL - orphan header $REL: nothing under src/, bench/," \
+      "examples/ or perfbench/ includes it but its own .cpp"
+    ORPHANS=1
+  fi
+done < <(find src -name '*.hpp' | sort)
+[ "$ORPHANS" -eq 0 ]
+echo "check.sh: every src/ header has an includer outside its own .cpp."
+
 cmake -B "$BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLASSM_WERROR=ON \
@@ -72,10 +92,9 @@ TSAN_OPTIONS="halt_on_error=1" \
 # shared count table or run_host_batch trips TSan here, and the
 # seed-pinned golden fingerprints catch any almost-identical output. The
 # concurrent-table suite is the lock-free table's dedicated TSan workload:
-# interleaved insert/increment storms, concurrent shard rebuilds and the
-# streaming double-buffer all run under the race detector, differenced
-# against serial counting and the test-only per-chunk merge oracle at
-# 1/2/4/8 threads. The multi-device suites run every rank's tasks and
+# interleaved insert/increment storms and concurrent shard rebuilds run
+# under the race detector, differenced against serial counting and the
+# test-only per-chunk merge oracle at 1/2/4/8 threads. The multi-device suites run every rank's tasks and
 # every device-loss recovery rerun on one shared pool, so a rank's run
 # racing another's on the pool's kernel contexts trips TSan here too.
 TSAN_OPTIONS="halt_on_error=1" \

@@ -36,15 +36,6 @@ class ReadSet {
   /// Appends with uniform quality q for every base.
   std::size_t append(std::string_view seq, int uniform_phred);
 
-  /// Removes every read but keeps the arena capacity — the streaming
-  /// reader refills the same block in place, so steady-state ingest
-  /// allocates nothing after the first block.
-  void clear() noexcept {
-    seq_arena_.clear();
-    qual_arena_.clear();
-    reads_.clear();
-  }
-
   std::size_t size() const noexcept { return reads_.size(); }
   bool empty() const noexcept { return reads_.empty(); }
   const Read& operator[](std::size_t i) const noexcept { return reads_[i]; }

@@ -105,8 +105,7 @@ class WarpExecutionEngine {
   /// reads, and no body code runs after the return. Callers may therefore
   /// read batch results plainly (no atomics) between batches; this is the
   /// quiescence point the concurrent k-mer table's reserve/export steps
-  /// and the streaming double-buffer (pipeline::count_kmers_stream) build
-  /// on.
+  /// build on.
   void run_host_batch(std::size_t n,
                       const std::function<void(std::size_t, unsigned)>& body);
 

@@ -53,80 +53,6 @@ KmerCounts count_kmers(const bio::ReadSet& reads, std::uint32_t k,
   return count_kmers_concurrent(reads, k, canonical, pool);
 }
 
-KmerCounts count_kmers_stream(bio::SequenceStreamReader& reader,
-                              std::uint32_t k, bool canonical,
-                              core::WarpExecutionEngine* pool,
-                              StreamCountStats* stats) {
-  ConcurrentKmerCountTable table;
-  StreamCountStats st;
-  bio::ReadSet cur, next;
-  std::uint64_t windows_seen = 0;
-  bool have = reader.next_block(cur);
-  while (have) {
-    const std::uint64_t block_windows = cur.total_kmers(k);
-    // Reserve from observed block statistics: the first block uses the
-    // same windows/4 density prior as the in-memory path (applied to one
-    // block, not the whole file); later blocks extrapolate the *measured*
-    // distinct-per-window ratio with 25% headroom. A miss only costs
-    // amortised shard growth. Quiescent here — no writers yet/any more.
-    std::uint64_t expect;
-    if (windows_seen == 0) {
-      expect = distinct_estimate(block_windows);
-    } else {
-      const double ratio = static_cast<double>(table.entries()) /
-                           static_cast<double>(windows_seen);
-      expect = table.entries() +
-               static_cast<std::uint64_t>(
-                   static_cast<double>(block_windows) * ratio * 1.25) +
-               1024;
-    }
-    table.reserve(expect);
-    st.reserved_entries = std::max(st.reserved_entries, expect);
-    windows_seen += block_windows;
-
-    // Overlap: one extra host-batch task parses the next block while the
-    // others count the current one. The batch barrier orders the parse
-    // result (and `have_next`) before the reads below.
-    bool have_next = false;
-    if (pool_parallel(pool) && cur.size() > 1) {
-      const ChunkPlan plan(cur.size(), pool);
-      pool->run_host_batch(
-          plan.n_chunks + 1, [&](std::size_t i, unsigned) {
-            if (i == plan.n_chunks) {
-              have_next = reader.next_block(next);
-              return;
-            }
-            ConcurrentKmerCountTable::WriterScope writer(table);
-            insert_read_kmers(writer, cur, plan.begin(i), plan.end(i), k,
-                              canonical);
-          });
-    } else {
-      {
-        ConcurrentKmerCountTable::WriterScope writer(table);
-        insert_read_kmers(writer, cur, 0, cur.size(), k, canonical);
-      }
-      have_next = reader.next_block(next);
-    }
-    st.peak_resident_bases =
-        std::max(st.peak_resident_bases,
-                 cur.total_bases() + next.total_bases());
-    std::swap(cur, next);
-    have = have_next;
-  }
-  const bio::SequenceStreamReader::Stats& rs = reader.stats();
-  st.blocks = rs.blocks;
-  st.reads = rs.reads;
-  st.bases = rs.bases;
-  st.dropped_reads = rs.dropped_reads;
-  st.windows = windows_seen;
-  st.table_rebuilds = table.rebuilds();
-  KmerCounts counts;
-  table.export_into(counts.table());
-  counts.rebuild_size();
-  if (stats != nullptr) *stats = st;
-  return counts;
-}
-
 std::size_t filter_low_count(KmerCounts& counts, std::uint32_t min_count,
                              core::WarpExecutionEngine* pool) {
   using Table = KmerCounts::Table;

@@ -9,7 +9,6 @@
 
 #include "bio/kmer.hpp"
 #include "bio/read.hpp"
-#include "bio/stream.hpp"
 #include "pipeline/kmer_table.hpp"
 
 namespace lassm::core {
@@ -114,9 +113,9 @@ inline std::uint64_t distinct_estimate(std::uint64_t windows) noexcept {
 /// misses are in flight at once.
 inline constexpr std::size_t kPrefetchWindow = 16;
 
-/// The one k-mer insert loop behind every counter (count_kmers,
-/// count_kmers_stream, dist::count_kmers_dist). Feeds every window of
-/// reads [begin, end) — canonical or as read — to `sink`, which provides
+/// The one k-mer insert loop behind every counter (count_kmers and
+/// dist::count_kmers_dist). Feeds every window of reads [begin, end) —
+/// canonical or as read — to `sink`, which provides
 ///   checkpoint()          called before each read,
 ///   prefetch(hash)        called as soon as a window is hashed,
 ///   add_hashed(km, hash)  called kPrefetchWindow windows later.
@@ -172,37 +171,6 @@ void insert_read_kmers(Sink& sink, const bio::ReadSet& reads,
 KmerCounts count_kmers(const bio::ReadSet& reads, std::uint32_t k,
                        bool canonical = false,
                        core::WarpExecutionEngine* pool = nullptr);
-
-/// Observability of one streaming count run (see count_kmers_stream).
-struct StreamCountStats {
-  std::uint64_t blocks = 0;         ///< read blocks processed
-  std::uint64_t reads = 0;          ///< reads counted
-  std::uint64_t bases = 0;          ///< bases counted
-  std::uint64_t windows = 0;        ///< k-mer windows inserted
-  std::uint64_t dropped_reads = 0;  ///< non-ACGT reads the reader skipped
-  /// Peak bases resident at once (current block + parse-ahead block): the
-  /// bounded-memory claim, testable against the reader's block budget.
-  std::uint64_t peak_resident_bases = 0;
-  /// Final table reservation derived from observed block statistics.
-  std::uint64_t reserved_entries = 0;
-  std::uint64_t table_rebuilds = 0;  ///< concurrent-table shard rebuilds
-};
-
-/// Streaming bounded-memory k-mer counting: pulls fixed-budget read blocks
-/// from `reader` and counts them into one shared concurrent table, with
-/// the next block parsed *concurrently* with counting the current one
-/// (one extra run_host_batch task double-buffers the reader) when `pool`
-/// is parallel. Peak read memory is two blocks regardless of input size.
-///
-/// Table capacity is reserved per block from the *observed* distinct-per-
-/// window ratio of the blocks counted so far (first block: the same
-/// windows/4 prior the in-memory path uses) — no whole-file size estimate
-/// anywhere. Contents are bit-identical to count_kmers over the same
-/// reads at every thread count and block budget.
-KmerCounts count_kmers_stream(bio::SequenceStreamReader& reader,
-                              std::uint32_t k, bool canonical = false,
-                              core::WarpExecutionEngine* pool = nullptr,
-                              StreamCountStats* stats = nullptr);
 
 /// Removes k-mers with count < min_count (MetaHipMer's error filter;
 /// singletons are overwhelmingly sequencing errors). Returns the number of

@@ -191,33 +191,6 @@ Status write_metrics_json_file(const std::string& path,
   return finish_write(out, path);
 }
 
-void write_metrics_csv(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << "kind,name,field,value\n";
-  for (const auto& [name, v] : snapshot.counters) {
-    os << "counter," << name << ",value," << v << "\n";
-  }
-  for (const auto& [name, v] : snapshot.gauges) {
-    os << "gauge," << name << ",value," << v << "\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    os << "histogram," << name << ",count," << h.count << "\n";
-    os << "histogram," << name << ",sum," << h.sum << "\n";
-    os << "histogram," << name << ",mean," << h.mean() << "\n";
-    os << "histogram," << name << ",p50," << h.quantile_bound(0.5) << "\n";
-    os << "histogram," << name << ",p90," << h.quantile_bound(0.9) << "\n";
-    os << "histogram," << name << ",p99," << h.quantile_bound(0.99) << "\n";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      os << "histogram," << name << ",le_";
-      if (i < h.bounds.size()) {
-        os << h.bounds[i];
-      } else {
-        os << "inf";
-      }
-      os << "," << h.counts[i] << "\n";
-    }
-  }
-}
-
 TraceCli parse_trace_cli(int& argc, char** argv) {
   TraceCli cli;
   int out = 1;

@@ -32,10 +32,6 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot);
 Status write_metrics_json_file(const std::string& path,
                                const MetricsSnapshot& snapshot);
 
-/// Flat CSV rendering of a snapshot: kind,name,field,value — one row per
-/// counter/gauge and per histogram aggregate/bucket.
-void write_metrics_csv(std::ostream& os, const MetricsSnapshot& snapshot);
-
 /// Standard observability CLI of the example binaries: strips
 /// `--trace <path>`, `--metrics <path>`, `--profile <path>`,
 /// `--log-level <level>` and `--flight-dir <dir>` from argv (compacting it

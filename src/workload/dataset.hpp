@@ -85,24 +85,4 @@ void fill_extension_stats(const core::AssemblyInput& in, DatasetStats& stats);
 void save_dataset(std::ostream& os, const core::AssemblyInput& in);
 core::AssemblyInput load_dataset(std::istream& is);
 
-/// Streaming-scale synthetic input for the bounded-memory ingest tests
-/// and benches: a deterministic shotgun FASTQ written record by record.
-/// Same read model as the front-end bench (uniform random genome, fixed
-/// read length, optional substitution errors, uniform quality).
-struct ShotgunFastqParams {
-  std::uint64_t genome_len = 100000;
-  std::uint32_t read_len = 120;
-  double coverage = 10.0;
-  double base_error_rate = 0.0;
-  int phred = 35;
-};
-
-/// Writes the FASTQ to `os` (only the genome is ever resident — the reads
-/// stream straight out, so callers can synthesize inputs far larger than
-/// any read-set budget). Returns the number of reads written; the same
-/// seed always produces the same bytes.
-std::uint64_t write_shotgun_fastq(std::ostream& os,
-                                  const ShotgunFastqParams& p,
-                                  std::uint64_t seed);
-
 }  // namespace lassm::workload

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -266,29 +265,6 @@ core::AssemblyInput generate_dataset(const DatasetParams& p,
     }
   }
   return in;
-}
-
-std::uint64_t write_shotgun_fastq(std::ostream& os,
-                                  const ShotgunFastqParams& p,
-                                  std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  const std::string genome = random_sequence(rng, p.genome_len);
-  const auto n_reads = static_cast<std::uint64_t>(
-      p.coverage * static_cast<double>(p.genome_len) / p.read_len);
-  const std::string qual(p.read_len,
-                         bio::phred_to_ascii(p.phred));
-  std::string frag;
-  for (std::uint64_t i = 0; i < n_reads; ++i) {
-    const std::uint64_t start = rng.below(genome.size() - p.read_len);
-    frag.assign(genome, start, p.read_len);
-    if (p.base_error_rate > 0.0) {
-      for (char& c : frag) {
-        if (rng.uniform() < p.base_error_rate) c = substitute(rng, c);
-      }
-    }
-    os << "@read" << i << '\n' << frag << "\n+\n" << qual << '\n';
-  }
-  return n_reads;
 }
 
 }  // namespace lassm::workload

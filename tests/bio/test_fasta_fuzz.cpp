@@ -9,13 +9,10 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "bio/fasta.hpp"
 #include "bio/read.hpp"
 #include "bio/rng.hpp"
-#include "bio/stream.hpp"
 #include "resilience/status.hpp"
 #include "workload/dataset.hpp"
 
@@ -166,135 +163,6 @@ TEST(FastaFuzz, ErrorsCarrySourceContext) {
       EXPECT_EQ(e.error().context().record, 2U);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming reader (SequenceStreamReader): same fuzz contract as the eager
-// parsers, plus the block-boundary cases only a chunked reader has —
-// budgets that land mid-record, and truncation at every byte prefix.
-
-/// Drains every block of a stream under a given block budget; returns
-/// total (reads, bases) so callers can difference against the eager parse.
-std::pair<std::uint64_t, std::uint64_t> drain_stream(
-    const std::string& input, std::uint64_t budget,
-    SequenceStreamReader::Format fmt = SequenceStreamReader::Format::kAuto) {
-  std::istringstream is(input);
-  StreamOptions opts;
-  opts.max_block_bases = budget;
-  opts.format = fmt;
-  SequenceStreamReader reader(is, "fuzz.stream", opts);
-  ReadSet block;
-  std::uint64_t reads = 0, bases = 0;
-  while (reader.next_block(block)) {
-    reads += block.size();
-    bases += block.total_bases();
-  }
-  return {reads, bases};
-}
-
-TEST(FastaFuzz, StreamingReaderSurvivesCorruption) {
-  const std::string fa = valid_fasta();
-  const std::string fq = valid_fastq();
-  for (std::uint64_t seed = 0; seed < 500; ++seed) {
-    Xoshiro256 rng(seed);
-    // Tiny budget: nearly every block boundary lands inside a record, so
-    // the carry/resume path fuzzes along with the parse itself.
-    expect_parses_or_typed_error(
-        corrupt(fa, rng),
-        [](const std::string& s) { (void)drain_stream(s, 8); }, seed);
-    Xoshiro256 rng2(seed ^ 0xF00D);
-    expect_parses_or_typed_error(
-        corrupt(fq, rng2),
-        [](const std::string& s) { (void)drain_stream(s, 8); }, seed);
-  }
-}
-
-TEST(FastaFuzz, StreamingFastqMatchesEagerUnderCorruption) {
-  // Differential: on any corrupted FASTQ, the streaming reader and
-  // read_fastq must agree — both throw, or both succeed with the same
-  // kept reads and bases (same non-ACGT drop policy).
-  const std::string base = valid_fastq();
-  for (std::uint64_t seed = 0; seed < 500; ++seed) {
-    Xoshiro256 rng(seed);
-    const std::string s = corrupt(base, rng);
-    bool eager_threw = false;
-    std::uint64_t eager_reads = 0, eager_bases = 0;
-    try {
-      std::istringstream is(s);
-      const ReadSet all = read_fastq(is, nullptr, "fuzz.stream");
-      eager_reads = all.size();
-      eager_bases = all.total_bases();
-    } catch (const StatusError&) {
-      eager_threw = true;
-    }
-    try {
-      const auto [reads, bases] =
-          drain_stream(s, 16, SequenceStreamReader::Format::kFastq);
-      EXPECT_FALSE(eager_threw) << "seed " << seed
-                                << ": eager threw, streaming accepted";
-      EXPECT_EQ(reads, eager_reads) << "seed " << seed;
-      EXPECT_EQ(bases, eager_bases) << "seed " << seed;
-    } catch (const StatusError&) {
-      EXPECT_TRUE(eager_threw) << "seed " << seed
-                               << ": streaming threw, eager accepted";
-    }
-  }
-}
-
-TEST(FastaFuzz, StreamingSurvivesTruncationAtEveryPrefix) {
-  // Every byte prefix of a valid input either parses or raises the typed
-  // error — the exhaustive version of the fuzz's random truncation, and
-  // the issue's truncated-block corpus.
-  const std::string fa = valid_fasta();
-  for (std::size_t len = 0; len <= fa.size(); ++len) {
-    expect_parses_or_typed_error(
-        fa.substr(0, len),
-        [](const std::string& s) { (void)drain_stream(s, 12); }, len);
-  }
-  const std::string fq = valid_fastq();
-  for (std::size_t len = 0; len <= fq.size(); ++len) {
-    expect_parses_or_typed_error(
-        fq.substr(0, len),
-        [](const std::string& s) { (void)drain_stream(s, 12); }, len);
-  }
-}
-
-TEST(FastaFuzz, StreamingBlockBoundaryNeverSplitsARecord) {
-  // Whatever the budget — including budgets smaller than one record — the
-  // reader yields whole records and every record exactly once.
-  const std::string fq = valid_fastq();
-  for (std::uint64_t budget = 1; budget <= 45; ++budget) {
-    std::istringstream is(fq);
-    StreamOptions opts;
-    opts.max_block_bases = budget;
-    SequenceStreamReader reader(is, "fuzz.stream", opts);
-    ReadSet block;
-    std::uint64_t reads = 0;
-    while (reader.next_block(block)) {
-      for (std::size_t r = 0; r < block.size(); ++r) {
-        EXPECT_EQ(block.seq(r).size(), 10U) << "budget=" << budget;
-        EXPECT_EQ(block.seq(r), "ACGTACGTAC") << "budget=" << budget;
-      }
-      reads += block.size();
-    }
-    EXPECT_EQ(reads, 8U) << "budget=" << budget;
-    EXPECT_EQ(reader.stats().reads, 8U) << "budget=" << budget;
-  }
-  // FASTA with wrapped lines: the multi-line record must also arrive
-  // whole even when the budget trips inside its first line.
-  std::istringstream is(valid_fasta());
-  StreamOptions opts;
-  opts.max_block_bases = 4;
-  SequenceStreamReader reader(is, "fuzz.stream", opts);
-  ReadSet block;
-  std::vector<std::string> seqs;
-  while (reader.next_block(block)) {
-    for (std::size_t r = 0; r < block.size(); ++r) {
-      seqs.emplace_back(block.seq(r));
-    }
-  }
-  EXPECT_EQ(seqs, (std::vector<std::string>{"ACGTACGTACGT",
-                                            "TTTTGGGGCCCCAAAA"}));
 }
 
 TEST(FastaFuzz, HugeDatasetHeaderDoesNotPreallocate) {

@@ -1,13 +1,9 @@
-// Differential suite for the lock-free concurrent k-mer table and the
-// streaming bounded-memory ingest path. Serial counting and the per-chunk +
-// ordered-merge counter kept below as a test-only oracle are the oracles:
-// random interleaved insert/increment workloads, growth storms and
-// whole-stage counting must produce contents bit-identical to them at
-// 1/2/4/8 threads, and the
-// streaming reader must reproduce the eager parser's reads under any block
-// budget while keeping peak resident bases bounded by the budget — not by
-// the input size. This file is also the TSan workload for the table (see
-// scripts/check.sh).
+// Differential suite for the lock-free concurrent k-mer table. Serial
+// counting and the per-chunk + ordered-merge counter kept below as a
+// test-only oracle are the oracles: random interleaved insert/increment
+// workloads, growth storms and whole-stage counting must produce contents
+// bit-identical to them at 1/2/4/8 threads. This file is also the TSan
+// workload for the table (see scripts/check.sh).
 
 #include <gtest/gtest.h>
 
@@ -15,22 +11,17 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bio/fasta.hpp"
 #include "bio/kmer.hpp"
 #include "bio/read.hpp"
 #include "bio/rng.hpp"
-#include "bio/stream.hpp"
 #include "core/exec.hpp"
 #include "pipeline/kmer_analysis.hpp"
 #include "pipeline/kmer_table.hpp"
 #include "pipeline/parallel.hpp"
-#include "resilience/status.hpp"
-#include "workload/dataset.hpp"
 
 namespace lassm::pipeline {
 namespace {
@@ -376,97 +367,6 @@ TEST(ConcurrentKmerTable, CountMatchesMergeOracleAtEveryThreadCount) {
       EXPECT_EQ(counts.size(), serial.size()) << where;
       EXPECT_EQ(fingerprint_counts(counts), want) << where;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming bounded-memory ingest.
-
-std::string make_fastq(std::uint64_t genome_len, double coverage,
-                       std::uint64_t seed,
-                       std::uint64_t* n_reads = nullptr) {
-  std::ostringstream os;
-  workload::ShotgunFastqParams p;
-  p.genome_len = genome_len;
-  p.coverage = coverage;
-  const std::uint64_t n = workload::write_shotgun_fastq(os, p, seed);
-  if (n_reads != nullptr) *n_reads = n;
-  return std::move(os).str();
-}
-
-TEST(ConcurrentKmerTable, StreamingCountMatchesInMemoryAtEveryThreadCount) {
-  const std::string fastq = make_fastq(20000, 8.0, 909);
-  std::istringstream eager_in(fastq);
-  const bio::ReadSet all = bio::read_fastq(eager_in);
-  const KmerCounts oracle = count_kmers(all, 21);
-  const std::uint64_t want = fingerprint_counts(oracle);
-  for (const std::uint64_t budget : {4096ULL, 64ULL << 10}) {
-    for (const auto& pool : test_pools()) {
-      std::istringstream in(fastq);
-      bio::SequenceStreamReader reader(in, "reads.fq", {budget});
-      StreamCountStats stats;
-      const KmerCounts counts =
-          count_kmers_stream(reader, 21, false, pool.get(), &stats);
-      EXPECT_EQ(counts.size(), oracle.size());
-      EXPECT_EQ(fingerprint_counts(counts), want)
-          << "threads=" << (pool ? pool->n_threads() : 1)
-          << " budget=" << budget;
-      EXPECT_EQ(stats.reads, all.size());
-      EXPECT_EQ(stats.bases, all.total_bases());
-      EXPECT_GT(stats.blocks, 1U);
-    }
-  }
-}
-
-TEST(ConcurrentKmerTable, StreamingPeakMemoryIsBoundedByTheBudget) {
-  // Input ~16x larger than the block budget: resident bases must track the
-  // double-buffer bound (two blocks, each budget + one read of overshoot),
-  // not the input size.
-  std::uint64_t n_reads = 0;
-  const std::string fastq = make_fastq(40000, 16.0, 111, &n_reads);
-  const std::uint64_t total_bases = n_reads * 120;
-  const std::uint64_t budget = total_bases / 16;
-  const auto pool = make_pool(4);
-  std::istringstream in(fastq);
-  bio::SequenceStreamReader reader(in, "reads.fq", {budget});
-  StreamCountStats stats;
-  const KmerCounts counts =
-      count_kmers_stream(reader, 21, false, pool.get(), &stats);
-  EXPECT_EQ(counts.size(), count_kmers(
-                               [&] {
-                                 std::istringstream eager(fastq);
-                                 return bio::read_fastq(eager);
-                               }(),
-                               21)
-                               .size());
-  EXPECT_EQ(stats.bases, total_bases);
-  EXPECT_GE(stats.blocks, 8U);
-  EXPECT_LE(stats.peak_resident_bases, 2 * (budget + 120));
-  EXPECT_LT(stats.peak_resident_bases, total_bases / 4);
-  EXPECT_GT(stats.reserved_entries, 0U);
-}
-
-TEST(ConcurrentKmerTable, StreamingReaderReportsTypedErrorsWithContext) {
-  // Truncated mid-record, beyond the first block: the error must surface
-  // on the next_block that reaches it, as the same typed kParseError (with
-  // stream name, line, record, byte offset) the eager parser throws.
-  std::string fastq = make_fastq(2000, 4.0, 55);
-  fastq.resize(fastq.size() / 2);
-  while (!fastq.empty() && fastq.back() != '\n') fastq.pop_back();
-  fastq += "@torn_record\nACGT\n";  // header + seq, then EOF: truncated
-  std::istringstream in(fastq);
-  bio::SequenceStreamReader reader(in, "torn.fq", {1024});
-  bio::ReadSet block;
-  try {
-    while (reader.next_block(block)) {
-    }
-    FAIL() << "expected StatusError on the truncated record";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kParseError);
-    EXPECT_EQ(e.error().context().file, "torn.fq");
-    EXPECT_GT(e.error().context().line, 0U);
-    EXPECT_GT(e.error().context().record, 0U);
-    EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos);
   }
 }
 

@@ -13,15 +13,13 @@
 #include <atomic>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bio/fasta.hpp"
+#include "bio/read.hpp"
 #include "bio/rng.hpp"
-#include "bio/stream.hpp"
 #include "core/exec.hpp"
 #include "pipeline/aligner.hpp"
 #include "pipeline/dbg.hpp"
@@ -196,30 +194,6 @@ TEST(FrontendParallel, CanonicalCountsMatchGoldenAtEveryThreadCount) {
     EXPECT_EQ(canon.size(), kGoldenCanonSize);
     EXPECT_EQ(fingerprint_counts(canon), kGoldenCanonFnv)
         << "threads=" << (pool ? pool->n_threads() : 1);
-  }
-}
-
-TEST(FrontendParallel, StreamingCountsMatchGoldenAtEveryThreadCount) {
-  // count_kmers_stream counts through the shared concurrent table at every
-  // pool, the serial one included, so the golden constants pin that table
-  // with and without workers, not just count_kmers' dispatch.
-  std::ostringstream fastq;
-  bio::write_fastq(fastq, workload_reads());
-  for (const auto& pool : test_pools()) {
-    for (const bool canonical : {false, true}) {
-      std::istringstream in(fastq.str());
-      bio::SequenceStreamReader reader(in, "reads.fq", {16 << 10});
-      StreamCountStats stats;
-      const KmerCounts counts =
-          count_kmers_stream(reader, 21, canonical, pool.get(), &stats);
-      EXPECT_GT(stats.blocks, 1U);
-      EXPECT_EQ(counts.size(),
-                canonical ? kGoldenCanonSize : kGoldenCountsSize);
-      EXPECT_EQ(fingerprint_counts(counts),
-                canonical ? kGoldenCanonFnv : kGoldenCountsFnv)
-          << "threads=" << (pool ? pool->n_threads() : 1)
-          << " canonical=" << canonical;
-    }
   }
 }
 
