@@ -112,7 +112,9 @@ TSAN_OPTIONS="halt_on_error=1" "$BUILD/tests/tests_resilience"
 
 # The serving layer is the newest multi-threaded subsystem: client
 # threads submit against the dispatcher while finish-paths update tenant
-# breakers, counters and the cache concurrently. The whole suite — golden
+# breakers, counters and the cache concurrently, and client threads read
+# the result cache (submit-time hits) while the dispatcher probes and
+# writes it. The whole suite — golden
 # bit-identity at 1/4/8 workers, the seeded fault storms and the overload
 # soak — runs under the race detector.
 TSAN_OPTIONS="halt_on_error=1" "$BUILD/tests/tests_serve"

@@ -98,6 +98,8 @@ AssemblyService::AssemblyService(ServiceConfig cfg)
                                                 : &empty_plan_),
       assembler_(cfg_.device, cfg_.pm,
                  armed_options(cfg_, plan_, cfg_.assembly.fault_rank)),
+      options_fp_(
+          fingerprint_options(assembler_.options(), cfg_.device, cfg_.pm)),
       cache_(cfg_.cache_capacity),
       paused_(cfg_.start_paused) {
   if (cfg_.metrics != nullptr) {
@@ -136,8 +138,7 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
   job.not_before = job.submit_time;
   job.deadline_ms = deadline_ms;
   job.cache_key.dataset_fp = fingerprint_input(job.input);
-  job.cache_key.options_fp =
-      fingerprint_options(assembler_.options(), cfg_.device, cfg_.pm);
+  job.cache_key.options_fp = options_fp_;
   TicketPtr ticket = job.ticket;
 
   {
@@ -225,15 +226,36 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
     return ticket;
   }
 
+  // Admitted. A cache hit is answered here, on the client's thread, and
+  // never queues behind misses. A job the job_timeout seam selects, or one
+  // already past its deadline, skips the probe and queues, so preflight
+  // sheds it exactly as it would without the cache. The probe runs under
+  // mutex_, so no stop() can slip between these checks and a miss's
+  // enqueue.
+  std::optional<CachedResult> hit;
+  if (cache_.capacity() > 0 &&
+      !plan_->fires(resilience::Seam::kJobTimeout, job.job_key) &&
+      !past_deadline(job, Clock::now())) {
+    hit = probe_cache(job);
+  }
   std::uint64_t depth_peak = 0;
   {
     std::lock_guard<std::mutex> counters_lock(counters_mutex_);
     ++counters_.admitted;
-    counters_.queue_depth_peak = std::max<std::uint64_t>(
-        counters_.queue_depth_peak, queue_.size() + 1);
+    if (!hit) {
+      counters_.queue_depth_peak = std::max<std::uint64_t>(
+          counters_.queue_depth_peak, queue_.size() + 1);
+    }
     depth_peak = counters_.queue_depth_peak;
   }
   metrics_->counter(trace::names::kServeAdmitted).add();
+  if (hit) {
+    lock.unlock();
+    finish_completed(job, std::move(hit->extensions), hit->modelled_time_s,
+                     resilience::FailureReport{}, /*coalesced=*/false,
+                     /*cache_hit=*/true, /*recovered=*/false);
+    return ticket;
+  }
   metrics_->gauge(trace::names::kServeQueueDepthPeak)
       .set(static_cast<double>(depth_peak));
   queue_.push_back(std::move(job));
@@ -334,8 +356,7 @@ bool AssemblyService::preflight(Job&& job, std::vector<Job>& batch) {
 
   // Real deadline first: a job past its deadline is shed with a typed
   // status — never silently half-run.
-  if (job.deadline_ms > 0.0 &&
-      ms_since(job.submit_time, now) > job.deadline_ms) {
+  if (past_deadline(job, now)) {
     finish_shed(job, ErrorCode::kDeadlineExceeded,
                 "deadline exceeded before dispatch",
                 &ServiceCounters::shed_deadline);
@@ -349,28 +370,15 @@ bool AssemblyService::preflight(Job&& job, std::vector<Job>& batch) {
     return true;
   }
 
-  // Content-addressed cache probe (corruption-checked read-back).
+  // Probed again: a repeat that missed at submit, queued behind its first
+  // copy, hits once that copy has landed.
   if (cache_.capacity() > 0) {
-    const std::uint64_t corrupt_before = cache_.stats().corruptions;
-    std::optional<CachedResult> hit = cache_.get(job.cache_key, plan_);
-    const std::uint64_t corrupt_after = cache_.stats().corruptions;
-    if (corrupt_after > corrupt_before) {
-      metrics_->counter(trace::names::kServeCacheCorrupt)
-          .add(corrupt_after - corrupt_before);
-      (void)log::Logger::instance().incident(
-          "cache_corrupt",
-          {trace::Arg::n("dataset_fp",
-                         static_cast<double>(job.cache_key.dataset_fp)),
-           trace::Arg::n("job_key", static_cast<double>(job.job_key))});
-    }
-    if (hit) {
-      metrics_->counter(trace::names::kServeCacheHits).add();
+    if (std::optional<CachedResult> hit = probe_cache(job)) {
       finish_completed(job, std::move(hit->extensions), hit->modelled_time_s,
                        resilience::FailureReport{}, /*coalesced=*/false,
                        /*cache_hit=*/true, /*recovered=*/false);
       return true;
     }
-    metrics_->counter(trace::names::kServeCacheMisses).add();
   }
 
   // Injected transient dispatch fault at the job key: retried with
@@ -385,6 +393,31 @@ bool AssemblyService::preflight(Job&& job, std::vector<Job>& batch) {
 
   batch.push_back(std::move(job));
   return false;
+}
+
+bool AssemblyService::past_deadline(const Job& job,
+                                    Clock::time_point now) const {
+  return job.deadline_ms > 0.0 &&
+         ms_since(job.submit_time, now) > job.deadline_ms;
+}
+
+std::optional<CachedResult> AssemblyService::probe_cache(const Job& job) {
+  // Corruption-checked read-back: the lookup itself says whether it found
+  // corruption, so concurrent probes never claim each other's.
+  ResultCache::Lookup got = cache_.get(job.cache_key, plan_);
+  if (got.corrupted) {
+    metrics_->counter(trace::names::kServeCacheCorrupt).add();
+    (void)log::Logger::instance().incident(
+        "cache_corrupt",
+        {trace::Arg::n("dataset_fp",
+                       static_cast<double>(job.cache_key.dataset_fp)),
+         trace::Arg::n("job_key", static_cast<double>(job.job_key))});
+  }
+  metrics_
+      ->counter(got.hit ? trace::names::kServeCacheHits
+                        : trace::names::kServeCacheMisses)
+      .add();
+  return std::move(got.hit);
 }
 
 void AssemblyService::retry_or_fail(Job& job, Error error) {
@@ -659,6 +692,8 @@ void AssemblyService::finish_completed(Job& job,
   out.modelled_time_s = modelled_s;
   out.report = std::move(report);
   fill_stats(job, out);
+  // attempt 0: a hit answered in submit, which never queued.
+  if (job.attempt == 0) out.stats.queue_ms = 0.0;
   out.stats.cache_hit = cache_hit;
   out.stats.coalesced = coalesced;
   out.stats.device_lost_recovered = recovered;

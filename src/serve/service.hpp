@@ -24,10 +24,13 @@
 /// `WarpExecutionEngine`. Jobs enter through a bounded admission queue
 /// (per-tenant token-bucket quotas, circuit breaker, overflow shedding),
 /// are coalesced into warp-pool batches, retried with exponential backoff
-/// + deterministic jitter on transient faults, shed — never silently
-/// half-run — when past their deadline, and served from the
-/// content-addressed ResultCache when the same bytes were assembled
-/// before. Every job ends in exactly one of {completed, shed, failed}
+/// + deterministic jitter on transient faults, and shed — never silently
+/// half-run — when past their deadline. A job whose bytes were assembled
+/// before is served from the content-addressed ResultCache: `submit`
+/// probes it once admission has passed and answers a hit on the caller's
+/// thread, so hits never queue behind misses; a submit-time miss is
+/// probed again at dispatch, where a copy that landed meanwhile still
+/// hits. Every job ends in exactly one of {completed, shed, failed}
 /// with a typed Status: submitted == completed + shed + failed is the
 /// accounting invariant the soak gate enforces.
 ///
@@ -97,13 +100,17 @@ const char* job_state_name(JobState s) noexcept;
 
 /// Per-job observability riding along the outcome.
 struct JobStats {
-  unsigned attempts = 0;      ///< dispatch attempts (1 = first try ran)
+  /// Dispatch attempts: 1 = first try ran; 0 = never dispatched (shed at
+  /// admission, or a cache hit answered in submit).
+  unsigned attempts = 0;
   unsigned retries = 0;       ///< requeues after transient faults
   double backoff_ms = 0.0;    ///< total backoff this job waited
   bool cache_hit = false;
   bool coalesced = false;     ///< ran in a batch with other jobs
   bool device_lost_recovered = false;
-  double queue_ms = 0.0;      ///< submit -> first dispatch
+  /// submit -> first dispatch; 0 for a cache hit answered in submit,
+  /// which never queued.
+  double queue_ms = 0.0;
   double total_ms = 0.0;      ///< submit -> terminal state
 };
 
@@ -160,6 +167,8 @@ struct ServiceCounters {
   std::uint64_t coalesced_batches = 0;
   std::uint64_t engine_runs = 0;
   std::uint64_t devices_lost = 0;
+  /// The cache's own stats, counted per lookup (ResultCache::Stats): a
+  /// job that misses at submit and again at dispatch counts two misses.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_corrupt = 0;
@@ -189,7 +198,8 @@ class AssemblyService {
   /// Submits one job. `deadline_ms` (0 = none) is wall-clock from now:
   /// a job still queued past its deadline is shed with
   /// kDeadlineExceeded at dispatch — never silently half-run. The
-  /// returned ticket resolves exactly once.
+  /// returned ticket resolves exactly once; an admitted cache hit has
+  /// resolved it before submit returns.
   TicketPtr submit(const std::string& tenant, core::AssemblyInput input,
                    double deadline_ms = 0.0);
 
@@ -254,7 +264,13 @@ class AssemblyService {
   /// True when the job was resolved (deadline/seam/cache) or requeued for
   /// backoff; false when it was pushed into `batch` for dispatch.
   bool preflight(Job&& job, std::vector<Job>& batch);
+  /// The one cache probe, shared by submit and preflight: looks the job's
+  /// key up and records hit/miss metrics, and a corruption this lookup
+  /// found as a metric plus a `cache_corrupt` incident naming the job.
+  std::optional<CachedResult> probe_cache(const Job& job);
 
+  bool past_deadline(const Job& job,
+                     std::chrono::steady_clock::time_point now) const;
   void fill_stats(Job& job, JobOutcome& out) const;
   void observe_latency(double total_ms);
   double elapsed_ms(std::chrono::steady_clock::time_point since) const;
@@ -263,6 +279,7 @@ class AssemblyService {
   resilience::FaultPlan empty_plan_;  ///< armed when cfg has no plan
   const resilience::FaultPlan* plan_ = nullptr;  ///< never null after ctor
   core::LocalAssembler assembler_;
+  std::uint64_t options_fp_ = 0;  ///< fixed for the service's lifetime
   std::unique_ptr<core::WarpExecutionEngine> engine_;
   ResultCache cache_;
 

@@ -48,10 +48,17 @@ TEST(Service, CacheHitIsByteIdenticalToColdCompute) {
   const core::AssemblyInput in = small_dataset(2);
   const JobOutcome cold = service.submit("alice", in)->wait();
   ASSERT_EQ(cold.state, JobState::kCompleted);
-  const JobOutcome warm = service.submit("alice", in)->wait();
+  // The repeat is answered inside submit: resolved before submit returns,
+  // never queued or dispatched.
+  const TicketPtr warm_ticket = service.submit("alice", in);
+  EXPECT_TRUE(warm_ticket->done());
+  const JobOutcome warm = warm_ticket->wait();
   ASSERT_EQ(warm.state, JobState::kCompleted);
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_FALSE(cold.stats.cache_hit);
+  EXPECT_EQ(warm.stats.queue_ms, 0.0);
+  EXPECT_EQ(warm.stats.attempts, 0U);
+  EXPECT_EQ(cold.stats.attempts, 1U);
   expect_extensions_eq(warm.extensions, cold.extensions, "cache hit");
   EXPECT_EQ(warm.modelled_time_s, cold.modelled_time_s);
   const ServiceCounters c = service.counters();
@@ -155,6 +162,54 @@ TEST(Service, InjectedJobTimeoutSeamShedsDeadline) {
             std::string::npos);
   service.drain();
   EXPECT_EQ(service.counters().shed_deadline, 1U);
+  expect_accounted(service);
+}
+
+// The submit-time cache probe runs after admission and is skipped for a
+// job the job_timeout seam selects, so job-keyed seams fire on a cached
+// repeat exactly as they do on a cold job. Which sequence numbers a seam
+// selects is a pure function of the plan seed and the tenant's sequence
+// number, so the expected outcome of every submission is known up front.
+TEST(Service, InjectedJobTimeoutShedsCachedRepeat) {
+  const resilience::FaultPlan plan =
+      parse_plan("seed=12 job_timeout=0.3 queue_overflow=0.3");
+  ServiceConfig cfg;
+  cfg.assembly.fault_plan = &plan;
+  AssemblyService service(cfg);
+  const core::AssemblyInput in = small_dataset(41);
+  bool cached = false;
+  std::uint64_t timeouts_on_repeat = 0;
+  std::uint64_t overflows_on_repeat = 0;
+  for (std::uint64_t seq = 0; seq < 64; ++seq) {
+    const std::uint64_t key = make_job_key("alice", seq);
+    const JobOutcome out = service.submit("alice", in)->wait();
+    const std::string ctx = "seq " + std::to_string(seq);
+    EXPECT_EQ(out.job_key, key) << ctx;
+    if (plan.fires(resilience::Seam::kQueueOverflow, key)) {
+      EXPECT_EQ(out.state, JobState::kShed) << ctx;
+      EXPECT_EQ(out.status.code(), ErrorCode::kResourceExhausted) << ctx;
+      EXPECT_NE(out.status.to_string().find("injected queue overflow"),
+                std::string::npos)
+          << ctx;
+      if (cached) ++overflows_on_repeat;
+    } else if (plan.fires(resilience::Seam::kJobTimeout, key)) {
+      EXPECT_EQ(out.state, JobState::kShed) << ctx;
+      EXPECT_EQ(out.status.code(), ErrorCode::kDeadlineExceeded) << ctx;
+      EXPECT_NE(out.status.to_string().find("injected job timeout"),
+                std::string::npos)
+          << ctx;
+      EXPECT_FALSE(out.stats.cache_hit) << ctx;
+      if (cached) ++timeouts_on_repeat;
+    } else {
+      ASSERT_EQ(out.state, JobState::kCompleted) << ctx;
+      EXPECT_EQ(out.stats.cache_hit, cached) << ctx;
+      cached = true;
+    }
+    if (timeouts_on_repeat > 0 && overflows_on_repeat > 0) break;
+  }
+  EXPECT_GT(timeouts_on_repeat, 0U);
+  EXPECT_GT(overflows_on_repeat, 0U);
+  service.drain();
   expect_accounted(service);
 }
 

@@ -119,6 +119,12 @@ TEST(ServeSoak, FaultStormOverloadAccountsEveryJobExactlyOnce) {
   }
   EXPECT_GT(service.counters().cache_corrupt, corrupt_before);
   testutil::expect_accounted(service);
+  // Client threads and the dispatcher probed the cache concurrently; each
+  // corruption is still counted exactly once in the registry.
+  const trace::MetricsSnapshot snap = service.metrics().snapshot();
+  const auto corrupt = snap.counters.find(trace::names::kServeCacheCorrupt);
+  ASSERT_NE(corrupt, snap.counters.end());
+  EXPECT_EQ(corrupt->second, service.counters().cache_corrupt);
 
   service.stop();
   // Post-stop submissions still resolve, typed and accounted.
