@@ -1,7 +1,7 @@
 // Assembly-as-a-service quickstart: stand up a persistent AssemblyService
-// (bounded admission queue, per-tenant quotas, deadline shedding, bounded
-// retry with backoff, content-addressed result cache) and drive it with
-// the multi-tenant load generator.
+// (bounded admission queue, per-tenant circuit breakers, deadline
+// shedding, bounded retry with backoff, content-addressed result cache)
+// and drive it with the multi-tenant load generator.
 //
 //   ./assembly_service [tenants] [jobs_per_tenant] [--open] [--deadline MS]
 //                      [--queue N] [--threads N]
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   std::cout << "service: queue=" << cfg.queue_capacity
             << " cache=" << cfg.cache_capacity
-            << " retries=" << cfg.max_job_retries
+            << " retries=" << serve::AssemblyService::kMaxJobRetries
             << (plan ? " faultplan=armed" : "") << "\n"
             << "load: " << lg.tenants << " tenants x " << lg.jobs_per_tenant
             << " jobs, " << (open_loop ? "open" : "closed") << " loop"

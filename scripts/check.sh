@@ -3,7 +3,9 @@
 # tracing layer, the fault-injection/resilience paths and the autotuner.
 #
 # Step 0 (no build): fails, naming the header, when a src/ header has no
-# includer under src/, bench/, examples/ or perfbench/ besides its own .cpp.
+# includer under src/, bench/, examples/ or perfbench/ besides its own .cpp,
+# and, naming the constant, when a trace::names metric name in
+# src/trace/metrics.hpp is used by nothing there outside metrics.hpp.
 # Leg 1 (TSan): configures a build tree with warnings + ThreadSanitizer,
 # runs the engine's determinism/parallelism tests, the memsim
 # differential/golden bit-identity suites, the distributed suite (its
@@ -64,6 +66,22 @@ while IFS= read -r HDR; do
 done < <(find src -name '*.hpp' | sort)
 [ "$ORPHANS" -eq 0 ]
 echo "check.sh: every src/ header has an includer outside its own .cpp."
+
+# Likewise for metric names: a trace::names constant that nothing under
+# src/, bench/, examples/ or perfbench/ uses outside metrics.hpp names a
+# metric no entry point records.
+NAMES=src/trace/metrics.hpp
+while IFS= read -r NAME; do
+  if ! grep -rlw --include='*.hpp' --include='*.cpp' "$NAME" \
+      src bench examples perfbench | grep -qvxF "$NAMES"; then
+    echo "check.sh: FAIL - orphan metric name trace::names::$NAME: nothing" \
+      "under src/, bench/, examples/ or perfbench/ uses it outside $NAMES"
+    ORPHANS=1
+  fi
+done < <(grep -oE 'inline constexpr const char\* k[A-Za-z0-9_]+' "$NAMES" |
+         awk '{print $NF}')
+[ "$ORPHANS" -eq 0 ]
+echo "check.sh: every trace::names constant is used outside $NAMES."
 
 cmake -B "$BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -42,8 +42,7 @@ struct Tally {
       case JobState::kCompleted: ++completed; break;
       case JobState::kShed: ++shed; break;
       case JobState::kFailed: ++failed; break;
-      case JobState::kQueued:
-      case JobState::kRunning: break;  // unreachable: wait() is terminal
+      case JobState::kQueued: break;  // unreachable: wait() is terminal
     }
     if (out.stats.cache_hit) ++cache_hits;
     if (out.stats.retries > 0) ++retried_jobs;

@@ -11,6 +11,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Exponential backoff base and per-wait cap for job-level retries.
+constexpr std::uint32_t kBackoffBaseMs = 1;
+constexpr std::uint32_t kBackoffMaxMs = 32;
+
+/// Small-job coalescing: one engine run serves up to this many queued
+/// jobs / combined contigs of the same mer size.
+constexpr std::size_t kCoalesceMaxJobs = 8;
+constexpr std::size_t kCoalesceMaxContigs = 512;
+
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -32,17 +41,6 @@ double ms_since(Clock::time_point since, Clock::time_point now) noexcept {
 }
 
 }  // namespace
-
-const char* job_state_name(JobState s) noexcept {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kCompleted: return "completed";
-    case JobState::kShed: return "shed";
-    case JobState::kFailed: return "failed";
-  }
-  return "?";
-}
 
 std::uint64_t make_job_key(const std::string& tenant,
                            std::uint64_t seq) noexcept {
@@ -102,16 +100,6 @@ AssemblyService::AssemblyService(ServiceConfig cfg)
           fingerprint_options(assembler_.options(), cfg_.device, cfg_.pm)),
       cache_(cfg_.cache_capacity),
       paused_(cfg_.start_paused) {
-  if (cfg_.metrics != nullptr) {
-    metrics_ = cfg_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<trace::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  // Pre-create the latency histogram so quantile queries on an idle
-  // service see an (empty) histogram rather than nothing.
-  metrics_->histogram(trace::names::kServeLatencyUs,
-                      trace::Histogram::pow2_bounds(6, 26));
   // Engine pool-start failure (armed kPoolStart seam, or a real spawn
   // failure) degrades to fewer workers — in the worst case serial on the
   // dispatcher thread — and the service keeps running (degraded()).
@@ -140,23 +128,20 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
   job.cache_key.dataset_fp = fingerprint_input(job.input);
   job.cache_key.options_fp = options_fp_;
   TicketPtr ticket = job.ticket;
+  const bool valid = job.input.validate();
 
-  {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    ++counters_.submitted;
-  }
-  metrics_->counter(trace::names::kServeSubmitted).add();
-
+  std::unique_lock<std::mutex> lock(mutex_);
+  ++counters_.submitted;
   // A structurally invalid input can never run: typed failure, accounted
   // once, and it counts against the tenant's breaker (malformed traffic
-  // is exactly the repeat-offender signal the breaker quarantines).
-  if (!job.input.validate()) {
+  // is exactly the repeat-offender signal the breaker quarantines). It
+  // takes no tenant sequence number.
+  if (!valid) {
+    lock.unlock();
     finish_failed(job, Error(ErrorCode::kInvalidArgument,
                              "AssemblyInput failed validation"));
     return ticket;
   }
-
-  std::unique_lock<std::mutex> lock(mutex_);
   TenantState& tenant_state = tenants_[tenant];
   job.job_key = make_job_key(tenant, tenant_state.next_seq++);
 
@@ -172,10 +157,9 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
   // more failure reopens, a success closes).
   if (tenant_state.breaker_open) {
     if (elapsed_ms(tenant_state.breaker_opened) >=
-        static_cast<double>(cfg_.breaker_cooldown_ms)) {
+        static_cast<double>(kBreakerCooldownMs)) {
       tenant_state.breaker_open = false;
-      tenant_state.consecutive_failures =
-          cfg_.breaker_threshold > 0 ? cfg_.breaker_threshold - 1 : 0;
+      tenant_state.consecutive_failures = kBreakerThreshold - 1;
     } else {
       lock.unlock();
       finish_shed(job, ErrorCode::kUnavailable,
@@ -183,30 +167,6 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
                   &ServiceCounters::shed_breaker);
       return ticket;
     }
-  }
-
-  // Per-tenant token bucket (disabled at rate 0).
-  if (cfg_.quota_rate_per_s > 0.0) {
-    const Clock::time_point now = Clock::now();
-    if (!tenant_state.bucket_primed) {
-      tenant_state.bucket_primed = true;
-      tenant_state.tokens = cfg_.quota_burst;
-      tenant_state.last_refill = now;
-    } else {
-      const double dt =
-          std::chrono::duration<double>(now - tenant_state.last_refill)
-              .count();
-      tenant_state.tokens = std::min(
-          cfg_.quota_burst, tenant_state.tokens + dt * cfg_.quota_rate_per_s);
-      tenant_state.last_refill = now;
-    }
-    if (tenant_state.tokens < 1.0) {
-      lock.unlock();
-      finish_shed(job, ErrorCode::kResourceExhausted,
-                  "tenant quota exhausted", &ServiceCounters::shed_quota);
-      return ticket;
-    }
-    tenant_state.tokens -= 1.0;
   }
 
   // Injected admission rejection: the queue_overflow seam sheds
@@ -238,17 +198,7 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
       !past_deadline(job, Clock::now())) {
     hit = probe_cache(job);
   }
-  std::uint64_t depth_peak = 0;
-  {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    ++counters_.admitted;
-    if (!hit) {
-      counters_.queue_depth_peak = std::max<std::uint64_t>(
-          counters_.queue_depth_peak, queue_.size() + 1);
-    }
-    depth_peak = counters_.queue_depth_peak;
-  }
-  metrics_->counter(trace::names::kServeAdmitted).add();
+  ++counters_.admitted;
   if (hit) {
     lock.unlock();
     finish_completed(job, std::move(hit->extensions), hit->modelled_time_s,
@@ -256,8 +206,8 @@ TicketPtr AssemblyService::submit(const std::string& tenant,
                      /*cache_hit=*/true, /*recovered=*/false);
     return ticket;
   }
-  metrics_->gauge(trace::names::kServeQueueDepthPeak)
-      .set(static_cast<double>(depth_peak));
+  counters_.queue_depth_peak = std::max<std::uint64_t>(
+      counters_.queue_depth_peak, queue_.size() + 1);
   queue_.push_back(std::move(job));
   lock.unlock();
   cv_.notify_all();
@@ -316,15 +266,15 @@ void AssemblyService::dispatcher_loop() {
 
     idle_ = false;
     // Coalesce: greedily take more ready jobs of the same mer size while
-    // the batch fits the configured caps. Admission order is preserved.
+    // the batch fits the coalescing caps. Admission order is preserved.
     std::vector<Job> picked;
     std::size_t contigs = first->input.num_contigs();
     picked.push_back(std::move(*first));
     for (auto it = queue_.begin();
-         it != queue_.end() && picked.size() < cfg_.coalesce_max_jobs;) {
+         it != queue_.end() && picked.size() < kCoalesceMaxJobs;) {
       if (it->not_before <= now &&
           it->input.kmer_len == picked.front().input.kmer_len &&
-          contigs + it->input.num_contigs() <= cfg_.coalesce_max_contigs) {
+          contigs + it->input.num_contigs() <= kCoalesceMaxContigs) {
         contigs += it->input.num_contigs();
         picked.push_back(std::move(*it));
         it = queue_.erase(it);
@@ -406,44 +356,33 @@ std::optional<CachedResult> AssemblyService::probe_cache(const Job& job) {
   // corruption, so concurrent probes never claim each other's.
   ResultCache::Lookup got = cache_.get(job.cache_key, plan_);
   if (got.corrupted) {
-    metrics_->counter(trace::names::kServeCacheCorrupt).add();
     (void)log::Logger::instance().incident(
         "cache_corrupt",
         {trace::Arg::n("dataset_fp",
                        static_cast<double>(job.cache_key.dataset_fp)),
          trace::Arg::n("job_key", static_cast<double>(job.job_key))});
   }
-  metrics_
-      ->counter(got.hit ? trace::names::kServeCacheHits
-                        : trace::names::kServeCacheMisses)
-      .add();
   return std::move(got.hit);
 }
 
 void AssemblyService::retry_or_fail(Job& job, Error error) {
-  if (job.retries >= cfg_.max_job_retries) {
+  if (job.retries >= kMaxJobRetries) {
     finish_failed(job, std::move(error));
     return;
   }
   ++job.retries;
-  {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    ++counters_.retries;
-  }
-  metrics_->counter(trace::names::kServeRetries).add();
   // Exponential backoff with deterministic jitter: the jitter draw is a
   // pure function of (job key, retry ordinal), so backoff schedules are
   // reproducible run to run.
-  const std::uint32_t base = std::max<std::uint32_t>(1, cfg_.backoff_base_ms);
-  std::uint64_t wait_ms = static_cast<std::uint64_t>(base)
+  std::uint64_t wait_ms = std::uint64_t{kBackoffBaseMs}
                           << std::min<unsigned>(job.retries - 1, 16);
-  wait_ms = std::min<std::uint64_t>(wait_ms, cfg_.backoff_max_ms);
-  wait_ms += mix64(job.job_key ^ (0x1717ULL * job.retries)) % base;
+  wait_ms = std::min<std::uint64_t>(wait_ms, kBackoffMaxMs);
+  wait_ms += mix64(job.job_key ^ (0x1717ULL * job.retries)) % kBackoffBaseMs;
   job.backoff_ms += static_cast<double>(wait_ms);
-  metrics_->counter(trace::names::kServeBackoffMs).add(wait_ms);
   job.not_before =
       Clock::now() + std::chrono::milliseconds(wait_ms);
   std::lock_guard<std::mutex> lock(mutex_);
+  ++counters_.retries;
   queue_.push_back(std::move(job));
   cv_.notify_all();
 }
@@ -491,12 +430,9 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
   }
 
   {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.engine_runs;
     if (batch.size() > 1) ++counters_.coalesced_batches;
-  }
-  if (batch.size() > 1) {
-    metrics_->counter(trace::names::kServeCoalescedBatches).add();
   }
 
   core::AssemblyResult result;
@@ -531,10 +467,9 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
       // The recovery rank cannot be scheduled for loss by parse()d plans;
       // a hand-built plan targeting it fails the whole batch, typed.
       {
-        std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         ++counters_.devices_lost;
       }
-      metrics_->counter(trace::names::kServeDevicesLost).add();
       for (Job& job : batch) finish_failed(job, e.error());
       return;
     }
@@ -544,11 +479,9 @@ void AssemblyService::run_batch(std::vector<Job>& batch) {
   resilience::RebalanceEvent rebalance;
   if (recovered) {
     {
-      std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       counters_.devices_lost += result.failures.devices_lost;
     }
-    metrics_->counter(trace::names::kServeDevicesLost)
-        .add(result.failures.devices_lost);
     rebalance = result.failures.rebalances.front();
   }
 
@@ -627,22 +560,10 @@ void AssemblyService::finish_shed(Job& job, ErrorCode code,
   out.status = Status(code, why);
   fill_stats(job, out);
   {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     ++(counters_.*slot);
   }
-  const char* metric =
-      slot == &ServiceCounters::shed_deadline ? trace::names::kServeShedDeadline
-      : slot == &ServiceCounters::shed_overflow
-          ? trace::names::kServeShedOverflow
-      : slot == &ServiceCounters::shed_quota ? trace::names::kServeShedQuota
-      : slot == &ServiceCounters::shed_breaker
-          ? trace::names::kServeShedBreaker
-          : trace::names::kServeShedStopped;
-  metrics_->counter(metric).add();
   job.ticket->resolve(std::move(out));
-  // The empty lock orders the counter update against a drain()er that is
-  // mid-predicate under mutex_, so the notify cannot be lost.
-  { std::lock_guard<std::mutex> lock(mutex_); }
   drain_cv_.notify_all();
 }
 
@@ -653,19 +574,13 @@ void AssemblyService::finish_failed(Job& job, Error error) {
   out.report = std::move(job.ticket_report);
   fill_stats(job, out);
   {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    ++counters_.failed;
-  }
-  metrics_->counter(trace::names::kServeFailed).add();
-  observe_latency(out.stats.total_ms);
-  // Breaker accounting: consecutive failures quarantine the tenant.
-  {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.failed;
+    // Breaker accounting: consecutive failures quarantine the tenant.
     TenantState& tenant_state = tenants_[job.tenant];
     ++tenant_state.consecutive_failures;
     if (!tenant_state.breaker_open &&
-        cfg_.breaker_threshold > 0 &&
-        tenant_state.consecutive_failures >= cfg_.breaker_threshold) {
+        tenant_state.consecutive_failures >= kBreakerThreshold) {
       tenant_state.breaker_open = true;
       tenant_state.breaker_opened = Clock::now();
       (void)log::Logger::instance().incident(
@@ -698,13 +613,8 @@ void AssemblyService::finish_completed(Job& job,
   out.stats.coalesced = coalesced;
   out.stats.device_lost_recovered = recovered;
   {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    ++counters_.completed;
-  }
-  metrics_->counter(trace::names::kServeCompleted).add();
-  observe_latency(out.stats.total_ms);
-  {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.completed;
     TenantState& tenant_state = tenants_[job.tenant];
     tenant_state.consecutive_failures = 0;
     tenant_state.breaker_open = false;
@@ -713,27 +623,10 @@ void AssemblyService::finish_completed(Job& job,
   drain_cv_.notify_all();
 }
 
-void AssemblyService::observe_latency(double total_ms) {
-  metrics_
-      ->histogram(trace::names::kServeLatencyUs,
-                  trace::Histogram::pow2_bounds(6, 26))
-      .observe(static_cast<std::uint64_t>(total_ms * 1000.0));
-}
-
-double AssemblyService::latency_quantile_ms(double q) const {
-  const trace::MetricsSnapshot snap = metrics_->snapshot();
-  auto it = snap.histograms.find(trace::names::kServeLatencyUs);
-  if (it == snap.histograms.end()) return 0.0;
-  return static_cast<double>(it->second.quantile_bound(q)) / 1000.0;
-}
-
 void AssemblyService::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   drain_cv_.wait(lock, [&] {
-    if (!queue_.empty() || !idle_) return false;
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
-    return counters_.submitted == counters_.completed + counters_.failed +
-                                      counters_.shed_total();
+    return queue_.empty() && idle_ && counters_.accounted();
   });
 }
 
@@ -759,7 +652,7 @@ void AssemblyService::resume() {
 ServiceCounters AssemblyService::counters() const {
   ServiceCounters c;
   {
-    std::lock_guard<std::mutex> counters_lock(counters_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     c = counters_;
   }
   const ResultCache::Stats cs = cache_.stats();

@@ -18,11 +18,10 @@
 #include "resilience/report.hpp"
 #include "resilience/status.hpp"
 #include "serve/result_cache.hpp"
-#include "trace/metrics.hpp"
 
 /// Assembly-as-a-service: a persistent multi-tenant front door over one
 /// `WarpExecutionEngine`. Jobs enter through a bounded admission queue
-/// (per-tenant token-bucket quotas, circuit breaker, overflow shedding),
+/// (per-tenant circuit breaker, overflow shedding),
 /// are coalesced into warp-pool batches, retried with exponential backoff
 /// + deterministic jitter on transient faults, and shed — never silently
 /// half-run — when past their deadline. A job whose bytes were assembled
@@ -57,46 +56,23 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64;   ///< admission bound; overflow sheds
   std::size_t cache_capacity = 256;  ///< ResultCache entries; 0 disables
 
-  /// Job-level retry budget for transient dispatch faults (injected
-  /// task_exception at the job key, or run() throwing).
-  unsigned max_job_retries = 2;
-  std::uint32_t backoff_base_ms = 1;  ///< exponential backoff base
-  std::uint32_t backoff_max_ms = 32;  ///< per-wait cap
-
-  /// Small-job coalescing: one engine run serves up to this many queued
-  /// jobs / combined contigs of the same mer size.
-  std::size_t coalesce_max_jobs = 8;
-  std::size_t coalesce_max_contigs = 512;
-
-  /// Per-tenant token bucket; rate 0 disables quota enforcement.
-  double quota_rate_per_s = 0.0;
-  double quota_burst = 8.0;
-
-  /// Circuit breaker: this many consecutive job failures quarantine the
-  /// tenant (submissions shed kUnavailable) until the cooldown passes;
-  /// the first post-cooldown job probes half-open.
-  unsigned breaker_threshold = 4;
-  std::uint32_t breaker_cooldown_ms = 50;
-
-  /// SLO metrics sink; null = the service owns a private registry.
-  trace::MetricsRegistry* metrics = nullptr;
-
   /// Tests only: construct with the dispatcher parked so admission
   /// behaviour (overflow, deadline expiry while queued) can be exercised
   /// deterministically; resume() starts dispatch.
   bool start_paused = false;
 };
 
-/// Terminal states a job can reach (exactly one, exactly once).
+/// Terminal states a job can reach (exactly one, exactly once). The
+/// numbering is stable: perfbench's outcome digest hashes it.
 enum class JobState : std::uint8_t {
-  kQueued = 0,
-  kRunning,
-  kCompleted,  ///< extensions delivered, status ok
-  kShed,       ///< rejected by admission or deadline; typed status says why
-  kFailed,     ///< ran and failed (quarantined tasks / retries exhausted)
+  kQueued = 0,  ///< JobOutcome's default; wait() never returns it
+  /// Extensions delivered, status ok.
+  kCompleted = 2,
+  /// Rejected by admission or deadline; the typed status says why.
+  kShed = 3,
+  /// Ran and failed (quarantined tasks / retries exhausted).
+  kFailed = 4,
 };
-
-const char* job_state_name(JobState s) noexcept;
 
 /// Per-job observability riding along the outcome.
 struct JobStats {
@@ -151,8 +127,9 @@ class JobTicket {
 
 using TicketPtr = std::shared_ptr<JobTicket>;
 
-/// Exact service-lifetime accounting (atomics, not the metrics registry,
-/// so the invariant check is race-free and exact).
+/// Exact service-lifetime accounting: the service's only count. It is
+/// updated under the service mutex, so a counters() snapshot is
+/// consistent and the invariant check race-free and exact.
 struct ServiceCounters {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -160,7 +137,6 @@ struct ServiceCounters {
   std::uint64_t failed = 0;
   std::uint64_t shed_deadline = 0;
   std::uint64_t shed_overflow = 0;
-  std::uint64_t shed_quota = 0;
   std::uint64_t shed_breaker = 0;
   std::uint64_t shed_stopped = 0;
   std::uint64_t retries = 0;
@@ -175,8 +151,7 @@ struct ServiceCounters {
   std::uint64_t queue_depth_peak = 0;
 
   std::uint64_t shed_total() const noexcept {
-    return shed_deadline + shed_overflow + shed_quota + shed_breaker +
-           shed_stopped;
+    return shed_deadline + shed_overflow + shed_breaker + shed_stopped;
   }
   /// The invariant: every submitted job reached exactly one terminal
   /// state. Only meaningful once the service is drained/stopped.
@@ -189,6 +164,15 @@ struct ServiceCounters {
 /// from any number of client threads.
 class AssemblyService {
  public:
+  /// Job-level retry budget for transient dispatch faults (injected
+  /// task_exception at the job key, or run() throwing).
+  static constexpr unsigned kMaxJobRetries = 2;
+  /// Circuit breaker: this many consecutive job failures quarantine the
+  /// tenant (submissions shed kUnavailable) until the cooldown passes;
+  /// the first post-cooldown job probes half-open.
+  static constexpr unsigned kBreakerThreshold = 4;
+  static constexpr std::uint32_t kBreakerCooldownMs = 50;
+
   explicit AssemblyService(ServiceConfig cfg);
   ~AssemblyService();
 
@@ -219,11 +203,6 @@ class AssemblyService {
   /// (e.g. an armed pool_start seam): degraded, still correct.
   bool degraded() const;
   const ServiceConfig& config() const noexcept { return cfg_; }
-  trace::MetricsRegistry& metrics() noexcept { return *metrics_; }
-
-  /// p50/p99 job latency (milliseconds, bucket upper bounds) from the
-  /// registry histogram — the SLO numbers the bench publishes.
-  double latency_quantile_ms(double q) const;
 
  private:
   struct Job {
@@ -248,7 +227,7 @@ class AssemblyService {
   /// queue has none ready. Caller holds `mutex_`.
   std::optional<Job> pop_ready_locked(
       std::chrono::steady_clock::time_point now);
-  /// Terminal-state helpers: resolve the ticket, bump counters/metrics.
+  /// Terminal-state helpers: bump the counters, resolve the ticket.
   void finish_shed(Job& job, ErrorCode code, const std::string& why,
                    std::uint64_t ServiceCounters::*slot);
   void finish_failed(Job& job, Error error);
@@ -265,14 +244,13 @@ class AssemblyService {
   /// backoff; false when it was pushed into `batch` for dispatch.
   bool preflight(Job&& job, std::vector<Job>& batch);
   /// The one cache probe, shared by submit and preflight: looks the job's
-  /// key up and records hit/miss metrics, and a corruption this lookup
-  /// found as a metric plus a `cache_corrupt` incident naming the job.
+  /// key up and reports a corruption this lookup found as a
+  /// `cache_corrupt` incident naming the job.
   std::optional<CachedResult> probe_cache(const Job& job);
 
   bool past_deadline(const Job& job,
                      std::chrono::steady_clock::time_point now) const;
   void fill_stats(Job& job, JobOutcome& out) const;
-  void observe_latency(double total_ms);
   double elapsed_ms(std::chrono::steady_clock::time_point since) const;
 
   ServiceConfig cfg_;
@@ -283,9 +261,7 @@ class AssemblyService {
   std::unique_ptr<core::WarpExecutionEngine> engine_;
   ResultCache cache_;
 
-  std::unique_ptr<trace::MetricsRegistry> owned_metrics_;
-  trace::MetricsRegistry* metrics_ = nullptr;
-
+  /// Guards the queue, the flags, the tenants and the counters.
   mutable std::mutex mutex_;
   std::condition_variable cv_;        ///< dispatcher wakeups
   std::condition_variable drain_cv_;  ///< drain() wakeups
@@ -295,17 +271,12 @@ class AssemblyService {
   bool idle_ = true;  ///< dispatcher not holding any popped job
 
   struct TenantState {
-    double tokens = 0.0;
-    std::chrono::steady_clock::time_point last_refill;
-    bool bucket_primed = false;
     unsigned consecutive_failures = 0;
     bool breaker_open = false;
     std::chrono::steady_clock::time_point breaker_opened;
     std::uint64_t next_seq = 0;
   };
   std::unordered_map<std::string, TenantState> tenants_;
-
-  mutable std::mutex counters_mutex_;
   ServiceCounters counters_;
 
   std::mutex join_mutex_;  ///< serialises concurrent stop() joins

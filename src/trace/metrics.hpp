@@ -77,29 +77,6 @@ inline constexpr const char* kResilienceMemFaults = "resilience.mem_faults";
 inline constexpr const char* kResilienceDevicesLost =
     "resilience.devices_lost";
 
-/// Serving layer (src/serve): SLO accounting for the admission queue,
-/// shedding, retries and the result cache. The accounting invariant is
-/// submitted == completed + failed + all shed.* counters.
-inline constexpr const char* kServeSubmitted = "serve.jobs_submitted";
-inline constexpr const char* kServeAdmitted = "serve.jobs_admitted";
-inline constexpr const char* kServeCompleted = "serve.jobs_completed";
-inline constexpr const char* kServeFailed = "serve.jobs_failed";
-inline constexpr const char* kServeShedDeadline = "serve.shed_deadline";
-inline constexpr const char* kServeShedOverflow = "serve.shed_overflow";
-inline constexpr const char* kServeShedQuota = "serve.shed_quota";
-inline constexpr const char* kServeShedBreaker = "serve.shed_breaker";
-inline constexpr const char* kServeShedStopped = "serve.shed_stopped";
-inline constexpr const char* kServeRetries = "serve.retries";
-inline constexpr const char* kServeBackoffMs = "serve.backoff_ms";
-inline constexpr const char* kServeCoalescedBatches =
-    "serve.coalesced_batches";
-inline constexpr const char* kServeDevicesLost = "serve.devices_lost";
-inline constexpr const char* kServeCacheHits = "serve.cache_hits";
-inline constexpr const char* kServeCacheMisses = "serve.cache_misses";
-inline constexpr const char* kServeCacheCorrupt = "serve.cache_corrupt";
-inline constexpr const char* kServeQueueDepthPeak = "serve.queue_depth_peak";
-inline constexpr const char* kServeLatencyUs = "serve.latency_us";
-
 /// Distributed (multi-rank) message layer (src/dist): remote traffic and
 /// the modelled network cost it was billed at.
 inline constexpr const char* kDistMsgs = "dist.msgs";

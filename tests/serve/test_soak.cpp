@@ -43,8 +43,6 @@ TEST(ServeSoak, ClosedLoopStormIsDeterministicallyAccounted) {
   ServiceConfig cfg;
   cfg.assembly.fault_plan = &storm;
   cfg.cache_capacity = 0;
-  cfg.breaker_threshold = 8;
-  cfg.breaker_cooldown_ms = 5;
   AssemblyService service(cfg);
 
   LoadGenConfig lg;
@@ -64,6 +62,9 @@ TEST(ServeSoak, ClosedLoopStormIsDeterministicallyAccounted) {
   // and job timeouts shed, injected transient faults retried and then
   // completed (transient seams never fire on the retry attempt).
   EXPECT_GT(c.shed_overflow + c.shed_deadline, 0U);
+  // No tenant fails kBreakerThreshold jobs in a row at this seed; the
+  // count is a pure function of the job keys.
+  EXPECT_EQ(c.shed_breaker, 0U);
   EXPECT_GT(c.retries, 0U);
   EXPECT_GT(report.retried_jobs, 0U);
   EXPECT_GT(report.completed, 0U);
@@ -74,10 +75,6 @@ TEST(ServeSoak, FaultStormOverloadAccountsEveryJobExactlyOnce) {
   ServiceConfig cfg;
   cfg.assembly.fault_plan = &storm;
   cfg.queue_capacity = 24;  // the open loop pushes ~4x this depth
-  cfg.quota_rate_per_s = 200.0;
-  cfg.quota_burst = 16.0;
-  cfg.breaker_threshold = 8;
-  cfg.breaker_cooldown_ms = 5;
   AssemblyService service(cfg);
 
   LoadGenConfig lg;
@@ -119,12 +116,6 @@ TEST(ServeSoak, FaultStormOverloadAccountsEveryJobExactlyOnce) {
   }
   EXPECT_GT(service.counters().cache_corrupt, corrupt_before);
   testutil::expect_accounted(service);
-  // Client threads and the dispatcher probed the cache concurrently; each
-  // corruption is still counted exactly once in the registry.
-  const trace::MetricsSnapshot snap = service.metrics().snapshot();
-  const auto corrupt = snap.counters.find(trace::names::kServeCacheCorrupt);
-  ASSERT_NE(corrupt, snap.counters.end());
-  EXPECT_EQ(corrupt->second, service.counters().cache_corrupt);
 
   service.stop();
   // Post-stop submissions still resolve, typed and accounted.
